@@ -41,31 +41,21 @@ in DESIGN.md §6e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.analysis.cfg import (
-    DISPATCH,
-    NaturalLoop,
-    ProgramView,
-    build_view,
-    section_loops,
-)
+from repro.analysis.cfg import DISPATCH, NaturalLoop
 from repro.analysis.dataflow.framework import (
     DataflowProblem,
     MinShiftLattice,
     dominators,
     solve,
 )
-from repro.analysis.sites import (
-    BarrierSite,
-    PipelineSites,
-    QueueSite,
-    SmemAccess,
-    collect_sites,
-)
-from repro.core.specs import ThreadBlockSpec
-from repro.isa.program import Program
+from repro.analysis.sites import BarrierSite, QueueSite, SmemAccess
+from repro.errors import ValidationError
 from repro.telemetry.spans import span
+
+if TYPE_CHECKING:
+    from repro.analysis.facts import PipelineFacts
 
 INF = float("inf")
 
@@ -215,32 +205,18 @@ class _EventGraph:
         return solve(problem)
 
 
-def analyze_program(program: Program) -> HBAnalysis:
-    """Convenience entry: build the view/sites and run the engine."""
-    view = build_view(program)
-    sites = collect_sites(view)
-    spec = program.tb_spec if isinstance(
-        program.tb_spec, ThreadBlockSpec
-    ) else None
-    return analyze_hb(view, sites, spec)
+def analyze_hb(facts: PipelineFacts) -> HBAnalysis:
+    """Run the happens-before engine and classify every access pair.
 
-
-def analyze_hb(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None,
-) -> HBAnalysis:
-    """Run the happens-before engine and classify every access pair."""
+    Read the result through :attr:`PipelineFacts.hb`, which solves
+    once per program.
+    """
     with span("verifier", "hb-solve"):
-        return _analyze(view, sites, spec)
+        return _analyze(facts)
 
 
-def _analyze(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None,
-) -> HBAnalysis:
-    builder = _GraphBuilder(view, sites, spec)
+def _analyze(facts: PipelineFacts) -> HBAnalysis:
+    builder = _GraphBuilder(facts)
     analysis = HBAnalysis()
     analysis.accesses = builder.accesses
     analysis.unresolved = [
@@ -375,17 +351,14 @@ def _conflict_residue(
 
 
 class _GraphBuilder:
-    """Builds the shift-labelled event graph from one program view."""
+    """Builds the shift-labelled event graph from one program's facts."""
 
-    def __init__(
-        self,
-        view: ProgramView,
-        sites: PipelineSites,
-        spec: ThreadBlockSpec | None,
-    ) -> None:
+    def __init__(self, facts: PipelineFacts) -> None:
+        view = facts.view
         self.view = view
-        self.sites = sites
-        self.spec = spec
+        self.sites = facts.sites
+        self.spec = facts.spec
+        self._facts = facts
         # Layout position of every instruction in a reachable block.
         self._pos: dict[int, Event] = {}
         self._block_ord: dict[str, int] = {}
@@ -407,7 +380,7 @@ class _GraphBuilder:
             self._stage_blocks[stage] = labels
         self._doms = self._section_dominators()
         self._loops = {
-            stage: _outermost_loops(section_loops(view, stage))
+            stage: _outermost_loops(facts.loops(stage))
             for stage in view.sections
         }
         self._aligned = self._aligned_blocks()
@@ -478,7 +451,7 @@ class _GraphBuilder:
             label for loop in self._loops[stage] for label in loop.body
         }
         nested: set[str] = set()
-        for loop in section_loops(self.view, stage):
+        for loop in self._facts.loops(stage):
             body = set(loop.body)
             if body <= outer and not any(
                 body == set(o.body) for o in self._loops[stage]
@@ -792,7 +765,7 @@ class _GraphBuilder:
         assert self.spec is not None
         try:
             queue = self.spec.queue_by_id(queue_id)
-        except Exception:
+        except ValidationError:
             return 1
         return max(1, queue.size)
 

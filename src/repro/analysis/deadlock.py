@@ -25,33 +25,28 @@ backstop still covers those.
 
 from __future__ import annotations
 
-from repro.analysis.cfg import DISPATCH, ProgramView
+from repro.analysis.cfg import DISPATCH
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.facts import PipelineFacts
 from repro.analysis.sites import PipelineSites
 from repro.core.specs import ThreadBlockSpec
 
 
-def check_deadlock(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None,
-) -> list[Diagnostic]:
+def check_deadlock(facts: PipelineFacts) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    diags.extend(_check_barrier_pairing(view, sites, spec))
+    kernel, sites, spec = facts.program.name, facts.sites, facts.spec
+    diags.extend(_check_barrier_pairing(kernel, sites, spec))
     if spec is not None:
-        diags.extend(_check_queue_cycles(view, spec))
-        diags.extend(_check_barrier_metadata(view, sites, spec))
-        diags.extend(_check_tb_syncs(view, sites, spec))
+        diags.extend(_check_queue_cycles(kernel, spec))
+        diags.extend(_check_barrier_metadata(kernel, sites, spec))
+        diags.extend(_check_tb_syncs(kernel, sites, spec))
     return diags
 
 
 def _check_barrier_pairing(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None,
+    kernel: str, sites: PipelineSites, spec: ThreadBlockSpec | None
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    kernel = view.program.name
     initial = spec.barrier_initial if spec is not None else {}
     waited = sites.barrier_ids("wait")
     arrived = sites.barrier_ids("arrive")
@@ -84,7 +79,7 @@ def _check_barrier_pairing(
 
 
 def _check_queue_cycles(
-    view: ProgramView, spec: ThreadBlockSpec
+    kernel: str, spec: ThreadBlockSpec
 ) -> list[Diagnostic]:
     """DFS cycle detection over the spec's src->dst queue digraph."""
     edges: dict[int, list[tuple[int, int]]] = {}
@@ -118,7 +113,7 @@ def _check_queue_cycles(
                     rule="WASP-D001",
                     message=f"queue dependencies form a cycle: {route}; "
                             "both sides wait for the other's first entry",
-                    kernel=view.program.name,
+                    kernel=kernel,
                     hint="pipeline stages must form a DAG; re-plan the "
                          "stage assignment",
                 )]
@@ -126,12 +121,9 @@ def _check_queue_cycles(
 
 
 def _check_barrier_metadata(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec,
+    kernel: str, sites: PipelineSites, spec: ThreadBlockSpec
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    kernel = view.program.name
     used = sites.barrier_ids("arrive") | sites.barrier_ids("wait")
     for barrier_id in sorted(used):
         if barrier_id not in spec.barrier_expected:
@@ -169,9 +161,7 @@ def _check_barrier_metadata(
 
 
 def _check_tb_syncs(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec,
+    kernel: str, sites: PipelineSites, spec: ThreadBlockSpec
 ) -> list[Diagnostic]:
     """Every stage must reach each full thread-block BAR.SYNC."""
     diags: list[Diagnostic] = []
@@ -188,7 +178,7 @@ def _check_tb_syncs(
                 message=f"BAR.SYNC {sync_id!r} counts every warp of the "
                         f"thread block, but stages {missing} never "
                         "execute it",
-                kernel=view.program.name,
+                kernel=kernel,
                 hint="a thread-block sync in a specialized program must "
                      "survive stage splitting into every stage (or be "
                      "rewritten to arrive/wait barriers)",

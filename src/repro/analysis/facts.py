@@ -1,0 +1,71 @@
+"""One program's static facts, built once and shared by every analysis.
+
+The verifier, translation validation, racediff and the fuzz oracle all
+ask the same questions of a compiled program: its stage-partitioned
+view, the queue/barrier/SMEM site walk, the thread-block spec, each
+stage's loops, the happens-before solve and the default verifier
+report.  :class:`PipelineFacts` answers each question the first time
+it is asked and keeps the answer, so one compile solves happens-before
+once however many analyses read the result.
+
+Facts describe one :class:`~repro.isa.program.Program` object that is
+no longer being rewritten; a rewritten program (a fuzz mutation, say)
+is a new object and gets its own facts.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+from repro.analysis.cfg import (
+    NaturalLoop,
+    ProgramView,
+    build_view,
+    section_loops,
+)
+from repro.analysis.dataflow.hb import HBAnalysis, analyze_hb
+from repro.analysis.sites import PipelineSites, collect_sites
+from repro.core.specs import ThreadBlockSpec
+from repro.isa.program import Program
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import DiagnosticReport
+
+
+class PipelineFacts:
+    """Lazily built, never rebuilt static facts of one program."""
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self._loops: dict[int, list[NaturalLoop]] = {}
+
+    @cached_property
+    def view(self) -> ProgramView:
+        return build_view(self.program)
+
+    @cached_property
+    def sites(self) -> PipelineSites:
+        return collect_sites(self.view)
+
+    @cached_property
+    def spec(self) -> ThreadBlockSpec | None:
+        spec = self.program.tb_spec
+        return spec if isinstance(spec, ThreadBlockSpec) else None
+
+    def loops(self, stage: int) -> list[NaturalLoop]:
+        """The stage section's layout loops, outer and inner alike."""
+        if stage not in self._loops:
+            self._loops[stage] = section_loops(self.view, stage)
+        return self._loops[stage]
+
+    @cached_property
+    def hb(self) -> HBAnalysis:
+        return analyze_hb(self)
+
+    @cached_property
+    def report(self) -> DiagnosticReport:
+        """The verifier's report under default limits; do not mutate."""
+        from repro.analysis import verifier
+
+        return verifier.verify_program(self.program, facts=self)

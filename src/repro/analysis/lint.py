@@ -12,10 +12,10 @@ non-zero exit code so CI can gate on a clean registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.verifier import verify_program
+from repro.analysis.facts import PipelineFacts
 from repro.core.compiler.pipeline import (
     CompileResult,
     WaspCompiler,
@@ -126,21 +126,14 @@ def lint_kernel(
     translation validator runs too and its WASP-T findings are merged
     into the report.
     """
-    from dataclasses import replace
-
-    options = options or WaspCompilerOptions()
-    if options.verify or options.validate:
-        options = replace(options, verify=False, validate=False)
-    result = WaspCompiler(options).compile(program, num_warps)
-    report = verify_program(result.program)
+    result = _compile_unchecked(program, num_warps, options)
+    facts = result.facts or PipelineFacts(result.program)
+    report = facts.report
     if validate:
         from repro.analysis.transval import validate_programs
 
-        tv = validate_programs(
-            program, result.program, assume_verified=True
-        )
-        report.extend(list(tv.report))
-        report = report.normalized()
+        tv = validate_programs(program, result.program, facts=facts)
+        report = DiagnosticReport([*report, *tv.report]).normalized()
     return result, report
 
 
@@ -275,15 +268,22 @@ def validate_kernel(
     options: WaspCompilerOptions | None = None,
 ) -> tuple[CompileResult, "object"]:
     """Compile one kernel and run the translation validator over it."""
-    from dataclasses import replace
-
     from repro.analysis.transval import validate_programs
 
-    options = options or WaspCompilerOptions()
-    if options.verify or options.validate:
-        options = replace(options, verify=False, validate=False)
-    result = WaspCompiler(options).compile(program, num_warps)
-    return result, validate_programs(program, result.program)
+    result = _compile_unchecked(program, num_warps, options)
+    return result, validate_programs(
+        program, result.program, facts=result.facts
+    )
+
+
+def _compile_unchecked(
+    program: Program, num_warps: int, options: WaspCompilerOptions | None
+) -> CompileResult:
+    """Compile with the raising verify/validate post-passes off."""
+    options = replace(
+        options or WaspCompilerOptions(), verify=False, validate=False
+    )
+    return WaspCompiler(options).compile(program, num_warps)
 
 
 def validate_benchmarks(
@@ -300,8 +300,6 @@ def validate_benchmarks(
     every ring depth in ``depths`` (``pipeline_depth`` is overridden
     per run).  Default: one run per depth under default options.
     """
-    from dataclasses import replace
-
     from repro.workloads.registry import all_benchmarks, get_benchmark
 
     names = list(names) if names else all_benchmarks()
@@ -380,8 +378,6 @@ def validate_corpus(corpus_dir=None) -> ValidateResult:
     is surfaced as a synthetic WASP-T002 so the standard gating
     (:attr:`ValidateResult.clean`) fails.
     """
-    from dataclasses import replace
-
     from repro.analysis.transval import validate_programs
     from repro.fuzz.corpus import load_corpus
     from repro.fuzz.generator import build_kernel
@@ -392,18 +388,17 @@ def validate_corpus(corpus_dir=None) -> ValidateResult:
     for entry in load_corpus(corpus_dir):
         kernel = build_kernel(entry.spec)
         for opts_name, options in OPTION_SETS:
-            opts = replace(options, verify=False, validate=False)
-            result = WaspCompiler(opts).compile(
-                kernel.program, kernel.launch.num_warps
+            result = _compile_unchecked(
+                kernel.program, kernel.launch.num_warps, options
             )
             if not result.specialized:
                 continue
-            program = result.program
+            program, facts = result.program, result.facts
             if entry.inject is not None:
-                program = apply_mutation(program, entry.inject)
+                program, facts = apply_mutation(program, entry.inject), None
                 if program is None:
                     continue
-            tv = validate_programs(kernel.program, program)
+            tv = validate_programs(kernel.program, program, facts=facts)
             verdict = tv.verdict
             report = tv.report
             if entry.inject is not None:
@@ -429,7 +424,7 @@ def validate_corpus(corpus_dir=None) -> ValidateResult:
             out.kernels.append(KernelValidation(
                 benchmark="corpus",
                 kernel=entry.name,
-                depth=opts.pipeline_depth,
+                depth=options.pipeline_depth,
                 options_name=opts_name,
                 specialized=True,
                 verdict=verdict,

@@ -26,21 +26,17 @@ from repro.analysis.cfg import (
     NaturalLoop,
     ProgramView,
     enumerate_paths,
-    section_loops,
     strip_stage_prefix,
 )
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.sites import PipelineSites, QueueSite
-from repro.core.specs import NamedQueueSpec, ThreadBlockSpec
+from repro.analysis.facts import PipelineFacts
+from repro.analysis.sites import QueueSite
+from repro.core.specs import NamedQueueSpec
 
 
-def check_queues(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None,
-) -> list[Diagnostic]:
+def check_queues(facts: PipelineFacts) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    kernel = view.program.name
+    kernel, sites, spec = facts.program.name, facts.sites, facts.spec
     queue_ids = sorted(sites.queue_ids())
 
     if spec is None:
@@ -64,8 +60,8 @@ def check_queues(
         ))
         qspec = declared.get(queue_id)
         size = qspec.size if qspec is not None else None
-        diags.extend(_check_balance(view, kernel, queue_id, pushes, pops))
-        diags.extend(_check_credit(view, kernel, queue_id, pushes, size))
+        diags.extend(_check_balance(facts, queue_id, pushes, pops))
+        diags.extend(_check_credit(facts, queue_id, pushes, size))
     return diags
 
 
@@ -143,8 +139,7 @@ def _check_endpoints(
 
 
 def _check_balance(
-    view: ProgramView,
-    kernel: str,
+    facts: PipelineFacts,
     queue_id: int,
     pushes: list[QueueSite],
     pops: list[QueueSite],
@@ -174,7 +169,7 @@ def _check_balance(
             rule="WASP-Q004",
             message=f"Q{queue_id} push/pop sites do not balance per "
                     f"iteration ({'; '.join(detail)})",
-            kernel=kernel,
+            kernel=facts.program.name,
             hint="producer pushes and consumer pops must pair up in "
                  "matching loop bodies",
         ))
@@ -182,13 +177,13 @@ def _check_balance(
     for sites_one_side, verb in ((pushes, "push"), (pops, "pop")):
         stage = sites_one_side[0].stage
         diags.extend(_check_path_balance(
-            view, kernel, queue_id, stage, sites_one_side, verb
+            facts, queue_id, stage, sites_one_side, verb
         ))
     return diags
 
 
-def _innermost_loops(view: ProgramView, stage: int) -> list[NaturalLoop]:
-    loops = section_loops(view, stage)
+def _innermost_loops(facts: PipelineFacts, stage: int) -> list[NaturalLoop]:
+    loops = facts.loops(stage)
     inner = []
     for loop in loops:
         body = set(loop.body)
@@ -218,8 +213,7 @@ def _complete_iteration_paths(
 
 
 def _check_path_balance(
-    view: ProgramView,
-    kernel: str,
+    facts: PipelineFacts,
     queue_id: int,
     stage: int,
     sites: list[QueueSite],
@@ -228,11 +222,11 @@ def _check_path_balance(
     """All complete iterations of a loop must move the same entry count."""
     diags: list[Diagnostic] = []
     per_block = Counter(s.block for s in sites)
-    for loop in _innermost_loops(view, stage):
+    for loop in _innermost_loops(facts, stage):
         body = set(loop.body)
         if not any(s.block in body for s in sites):
             continue
-        paths = _complete_iteration_paths(view, loop)
+        paths = _complete_iteration_paths(facts.view, loop)
         if paths is None or not paths:
             continue
         counts = {
@@ -245,7 +239,7 @@ def _check_path_balance(
                 message=f"Q{queue_id} {verb} count differs across paths "
                         f"through loop {strip_stage_prefix(loop.head)!r} "
                         f"({sorted(counts)})",
-                kernel=kernel,
+                kernel=facts.program.name,
                 stage=stage if stage >= 0 else None,
                 block=loop.head,
                 hint=f"every path through the loop body must {verb} the "
@@ -255,8 +249,7 @@ def _check_path_balance(
 
 
 def _check_credit(
-    view: ProgramView,
-    kernel: str,
+    facts: PipelineFacts,
     queue_id: int,
     pushes: list[QueueSite],
     size: int | None,
@@ -268,10 +261,10 @@ def _check_credit(
     stage = pushes[0].stage
     per_block = Counter(s.block for s in pushes)
     in_loop: set[str] = set()
-    for loop in _innermost_loops(view, stage):
+    for loop in _innermost_loops(facts, stage):
         body = set(loop.body)
         in_loop.update(label for label in per_block if label in body)
-        paths = _complete_iteration_paths(view, loop)
+        paths = _complete_iteration_paths(facts.view, loop)
         if paths is None or not paths:
             continue
         worst = max(
@@ -284,7 +277,7 @@ def _check_credit(
                 message=f"Q{queue_id}: one iteration of loop "
                         f"{strip_stage_prefix(loop.head)!r} pushes "
                         f"{worst} entries into a {size}-entry queue",
-                kernel=kernel,
+                kernel=facts.program.name,
                 stage=stage if stage >= 0 else None,
                 block=loop.head,
                 hint="grow queue_size or split the pushes across "
@@ -299,7 +292,7 @@ def _check_credit(
             message=f"Q{queue_id}: {straight} straight-line pushes exceed "
                     f"the {size}-entry queue with no consumer "
                     "interleaving guaranteed",
-            kernel=kernel,
+            kernel=facts.program.name,
             stage=stage if stage >= 0 else None,
         ))
     return diags

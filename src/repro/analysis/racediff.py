@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.analysis.dataflow.hb import HBAnalysis, analyze_program
+from repro.analysis.facts import PipelineFacts
 from repro.errors import ReproError
 from repro.fexec.machine import run_kernel
 from repro.fexec.sanitizer import SanitizerRace
@@ -70,15 +70,10 @@ class RaceDiff:
 
 
 def diff_races(
-    label: str,
-    program: Any,
-    image: Any,
-    launch: Any,
-    analysis: HBAnalysis | None = None,
+    label: str, facts: PipelineFacts, image: Any, launch: Any
 ) -> RaceDiff:
-    """Compare sanitizer-observed races against the static verdicts."""
-    if analysis is None:
-        analysis = analyze_program(program)
+    """Compare sanitizer-observed races against ``facts.hb``."""
+    analysis = facts.hb
     static_pairs = {
         (_canon_group(group), pair)
         for group, pair in analysis.racy_stage_pairs()
@@ -93,7 +88,7 @@ def diff_races(
     )
     try:
         result = run_kernel(
-            program, image, launch, collect_trace=False, sanitize=True
+            facts.program, image, launch, collect_trace=False, sanitize=True
         )
     except ReproError as exc:
         # Deadlocks and runtime faults are the fuzz oracle's domain;
@@ -126,58 +121,53 @@ def _is_covered(
 def racediff_spec(spec: Any) -> list[RaceDiff]:
     """Race differential for every specializing OPTION_SETS variant of
     one fuzz spec."""
-    from repro.core.compiler import WaspCompiler
-    from repro.errors import CompilerError
     from repro.fuzz.generator import build_kernel
     from repro.fuzz.oracle import OPTION_SETS
 
     kernel = build_kernel(spec)
-    diffs: list[RaceDiff] = []
-    for name, options in OPTION_SETS:
-        try:
-            compiled = WaspCompiler(options).compile(
-                kernel.program, num_warps=kernel.launch.num_warps
-            )
-        except (CompilerError, ReproError):
-            continue
-        if not compiled.specialized:
-            continue
-        launch = replace(
-            kernel.launch,
-            num_warps=kernel.launch.num_warps * compiled.num_stages,
+    return [
+        diff
+        for name, options in OPTION_SETS
+        for diff in _diff_compile(
+            f"seed{spec.seed}:{name}", kernel, options, (ReproError,)
         )
-        diffs.append(diff_races(
-            f"seed{spec.seed}:{name}",
-            compiled.program,
-            kernel.image_factory(),
-            launch,
-        ))
-    return diffs
+    ]
 
 
 def racediff_registry_kernel(kernel: Any, eval_config: Any) -> list[RaceDiff]:
     """Race differential for one registry kernel under one sweep config."""
     from repro.errors import CompilerError, ResourceError
-    from repro.experiments.runner import WaspCompiler, _compiler_options_for
+    from repro.experiments.runner import _compiler_options_for
 
     options = _compiler_options_for(kernel, eval_config)
     if options is None:
         return []
+    return _diff_compile(
+        f"{kernel.name}:{eval_config.name}", kernel, options,
+        (CompilerError, ResourceError),
+    )
+
+
+def _diff_compile(
+    label: str,
+    kernel: Any,
+    options: Any,
+    skip: tuple[type[ReproError], ...],
+) -> list[RaceDiff]:
+    """Compile ``kernel`` and diff its output when it specializes;
+    compiles raising one of ``skip`` are left out."""
+    from repro.core.compiler import WaspCompiler
+
     try:
         compiled = WaspCompiler(options).compile(
             kernel.program, num_warps=kernel.launch.num_warps
         )
-    except (CompilerError, ResourceError):
+    except skip:
         return []
-    if not compiled.specialized:
-        return []
+    if compiled.facts is None:
+        return []  # not specialized
     launch = replace(
         kernel.launch,
         num_warps=kernel.launch.num_warps * compiled.num_stages,
     )
-    return [diff_races(
-        f"{kernel.name}:{eval_config.name}",
-        compiled.program,
-        kernel.image_factory(),
-        launch,
-    )]
+    return [diff_races(label, compiled.facts, kernel.image_factory(), launch)]

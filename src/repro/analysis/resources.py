@@ -27,6 +27,7 @@ from repro.analysis.dataflow.framework import (
     solve,
 )
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.facts import PipelineFacts
 from repro.core.specs import ThreadBlockSpec
 from repro.isa.operands import Operand
 
@@ -44,10 +45,9 @@ class VerifyLimits:
 
 
 def check_resources(
-    view: ProgramView,
-    spec: ThreadBlockSpec | None,
-    limits: VerifyLimits,
+    facts: PipelineFacts, limits: VerifyLimits
 ) -> list[Diagnostic]:
+    view, spec = facts.view, facts.spec
     diags: list[Diagnostic] = []
     diags.extend(_check_hygiene(view))
     diags.extend(_check_smem_capacity(view, limits))

@@ -21,33 +21,24 @@ stages" heuristic.  Racy pairs are attributed to:
 
 from __future__ import annotations
 
-from repro.analysis.cfg import ProgramView
-from repro.analysis.dataflow.hb import HBAnalysis, PairVerdict, analyze_hb
+from repro.analysis.dataflow.hb import HBAnalysis, PairVerdict
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.sites import PipelineSites
-from repro.core.specs import ThreadBlockSpec
+from repro.analysis.facts import PipelineFacts
 
 
-def check_smem(
-    view: ProgramView,
-    sites: PipelineSites,
-    spec: ThreadBlockSpec | None = None,
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    diags.extend(_check_bounds(view, sites))
-    if len(view.stages) > 1:
-        analysis = analyze_hb(view, sites, spec)
-        diags.extend(_report_unresolved(view, analysis))
-        diags.extend(_report_races(view, analysis))
+def check_smem(facts: PipelineFacts) -> list[Diagnostic]:
+    diags = _check_bounds(facts)
+    if len(facts.view.stages) > 1:
+        kernel = facts.program.name
+        diags.extend(_report_unresolved(kernel, facts.hb))
+        diags.extend(_report_races(kernel, facts.hb))
     return diags
 
 
-def _check_bounds(
-    view: ProgramView, sites: PipelineSites
-) -> list[Diagnostic]:
+def _check_bounds(facts: PipelineFacts) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    total = view.program.smem_words
-    for access in sites.smem_accesses:
+    total = facts.program.smem_words
+    for access in facts.sites.smem_accesses:
         if access.address is None:
             continue
         if access.address < 0 or access.address >= max(total, 0):
@@ -56,7 +47,7 @@ def _check_bounds(
                 message=f"SMEM {'store' if access.is_write else 'load'} "
                         f"at word {access.address} is outside the "
                         f"program's {total}-word footprint",
-                kernel=view.program.name,
+                kernel=facts.program.name,
                 stage=access.stage if access.stage >= 0 else None,
                 block=access.block,
                 instruction=repr(access.instr),
@@ -65,7 +56,7 @@ def _check_bounds(
 
 
 def _report_unresolved(
-    view: ProgramView, analysis: HBAnalysis
+    kernel: str, analysis: HBAnalysis
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     reported: set[int] = set()
@@ -77,7 +68,7 @@ def _report_unresolved(
             rule="WASP-S003",
             message="SMEM access with register address and no "
                     "buffer tag; race analysis skips it",
-            kernel=view.program.name,
+            kernel=kernel,
             stage=access.stage,
             block=access.block,
             instruction=access.instr_repr,
@@ -86,9 +77,7 @@ def _report_unresolved(
     return diags
 
 
-def _report_races(
-    view: ProgramView, analysis: HBAnalysis
-) -> list[Diagnostic]:
+def _report_races(kernel: str, analysis: HBAnalysis) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     seen: set[tuple[str, str | None, int, int]] = set()
     for verdict in analysis.racy():
@@ -101,7 +90,7 @@ def _report_races(
         if key in seen:
             continue
         seen.add(key)
-        diags.append(_race_diagnostic(view.program.name, verdict))
+        diags.append(_race_diagnostic(kernel, verdict))
     return diags
 
 

@@ -31,13 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import (
-    DISPATCH,
-    ProgramView,
-    build_view,
-    section_loops,
-    strip_stage_prefix,
-)
+from repro.analysis.cfg import DISPATCH, strip_stage_prefix
+from repro.analysis.facts import PipelineFacts
 from repro.core.compiler.buffering import copy_suffix
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -238,16 +233,23 @@ def _base_label(label: str) -> str:
 
 
 def summarize_program(
-    program: Program, *, side: str, env: SharedEnv | None = None
+    program: Program,
+    *,
+    side: str,
+    env: SharedEnv | None = None,
+    facts: PipelineFacts | None = None,
 ) -> Summary:
     """Walk ``program`` and build its effect summary.
 
     ``side`` is ``"source"`` or ``"specialized"``.  A specialized
     program is walked stage by stage in ascending order (the queue DAG
     is forward-directed, so producers are summarized before their
-    consumers); the jump-table dispatch section is skipped.
+    consumers); the jump-table dispatch section is skipped.  ``facts``
+    are the program's shared facts; without them a private view is
+    built.
     """
-    view = build_view(program)
+    facts = facts or PipelineFacts(program)
+    view = facts.view
     env = env if env is not None else SharedEnv()
     summary = Summary(kernel=program.name, side=side, env=env)
     if side == "source":
@@ -258,7 +260,7 @@ def summarize_program(
             # Not actually stage-partitioned: treat as one section.
             stages = [DISPATCH]
     for stage in stages:
-        walker = _SectionWalker(view, stage, side, env, summary)
+        walker = _SectionWalker(facts, stage, side, env, summary)
         try:
             walker.run()
         except AbstainError as exc:
@@ -295,13 +297,13 @@ class _SectionWalker:
 
     def __init__(
         self,
-        view: ProgramView,
+        facts: PipelineFacts,
         stage: int,
         side: str,
         env: SharedEnv,
         summary: Summary,
     ) -> None:
-        self.view = view
+        view = facts.view
         self.program = view.program
         self.stage = stage
         self.side = side
@@ -310,7 +312,7 @@ class _SectionWalker:
         self.blocks: list[BasicBlock] = view.sections[stage].blocks
         self.label_to_idx = {b.label: i for i, b in enumerate(self.blocks)}
         self.loop_ranges: list[tuple[int, int]] = []
-        for loop in section_loops(view, stage):
+        for loop in facts.loops(stage):
             head = self.label_to_idx[loop.head]
             tail = self.label_to_idx[loop.body[-1]]
             self.loop_ranges.append((head, tail))

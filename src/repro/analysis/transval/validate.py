@@ -5,11 +5,13 @@ kernel and the :class:`WaspCompiler` output it walks both sides into
 symbolic effect summaries (:mod:`repro.analysis.transval.effects`),
 checks the cutpoint simulation relation over ring-slot residues
 (:mod:`repro.analysis.transval.match`), and folds in the ordering
-obligations the value proof relies on — the PR 8 happens-before engine
-must be able to order every cross-stage SMEM access the threading step
-read through, and the static verifier must not have found protocol
-errors (a racy or deadlocking program has no meaningful simulation
-relation to certify).
+obligations the value proof relies on — the happens-before engine must
+be able to order every cross-stage SMEM access the threading step read
+through, and the static verifier must not have found protocol errors
+(a racy or deadlocking program has no meaningful simulation relation to
+certify).  Both come from the specialized program's shared
+:class:`~repro.analysis.facts.PipelineFacts`, so a compile that already
+verified its output solves neither again.
 
 Verdicts are three-valued, and abstention is *never* silently folded
 into a pass:
@@ -33,6 +35,7 @@ from repro.analysis.diagnostics import (
     DiagnosticReport,
     Severity,
 )
+from repro.analysis.facts import PipelineFacts
 from repro.analysis.transval.effects import Summary, summarize_program
 from repro.analysis.transval.match import match_summaries
 from repro.errors import VerificationError
@@ -106,29 +109,29 @@ def validate_programs(
     source: Program,
     specialized: Program,
     *,
-    assume_verified: bool = False,
+    facts: PipelineFacts | None = None,
 ) -> ValidationReport:
     """Check the simulation relation between ``source`` and its compile.
 
-    ``assume_verified=True`` skips re-running the static verifier over
-    the specialized program (the compiler post-pass sets it, because
-    ``verify_or_raise`` already ran in the same compile); the
-    happens-before ordering check always runs — the value proof leans
-    on its FIFO/barrier edges directly.
+    ``facts`` are the specialized program's shared facts (a compile's
+    :attr:`CompileResult.facts`); without them private ones are built.
     """
+    facts = facts or PipelineFacts(specialized)
+    if facts.program is not specialized:
+        raise ValueError("facts describe a different program")
     with span("transval", "validate"):
         report = DiagnosticReport()
-        specialized_output = _is_specialized(specialized)
+        specialized_output = bool(facts.view.stages)
         src_sum: Summary | None = None
         spec_sum: Summary | None = None
         matched = n_src = n_spec = 0
 
         if specialized_output:
-            report.extend(_ordering_diagnostics(
-                specialized, assume_verified=assume_verified
-            ))
+            report.extend(_ordering_diagnostics(facts))
             src_sum = summarize_program(source, side="source")
-            spec_sum = summarize_program(specialized, side="specialized")
+            spec_sum = summarize_program(
+                specialized, side="specialized", facts=facts
+            )
             res = match_summaries(src_sum, spec_sum)
             report.extend(res.diagnostics)
             matched = res.matched_stores
@@ -158,7 +161,7 @@ def validate_or_raise(
     source: Program,
     specialized: Program,
     *,
-    assume_verified: bool = False,
+    facts: PipelineFacts | None = None,
 ) -> ValidationReport:
     """The compiler's opt-out post-pass: raise on ``not-equivalent``.
 
@@ -166,9 +169,7 @@ def validate_or_raise(
     counterexample — but it is preserved on the report so callers (CI,
     the fuzz cross-check) can gate on it explicitly.
     """
-    result = validate_programs(
-        source, specialized, assume_verified=assume_verified
-    )
+    result = validate_programs(source, specialized, facts=facts)
     if result.verdict == NOT_EQUIVALENT:
         errs = result.t_errors
         raise VerificationError(
@@ -179,28 +180,18 @@ def validate_or_raise(
     return result
 
 
-def _is_specialized(program: Program) -> bool:
-    from repro.analysis.cfg import build_view
-
-    return bool(build_view(program).stages)
-
-
-def _ordering_diagnostics(
-    specialized: Program, *, assume_verified: bool
-) -> list[Diagnostic]:
+def _ordering_diagnostics(facts: PipelineFacts) -> list[Diagnostic]:
     """T003: the ordering facts the value proof depends on must hold.
 
     The queue threading step assumed FIFO pairing and the SMEM
     threading step assumed writer-before-reader per ring slot; both
     are exactly what the happens-before engine proves.  Any RACY pair
-    — and, unless the caller already verified, any error-severity
-    queue/deadlock/SMEM finding — voids the simulation relation.
+    — and any error-severity queue/deadlock/SMEM finding in the shared
+    verifier report — voids the simulation relation.
     """
-    from repro.analysis.dataflow.hb import analyze_program
-
+    specialized = facts.program
     diags: list[Diagnostic] = []
-    hb = analyze_program(specialized)
-    for verdict in hb.racy():
+    for verdict in facts.hb.racy():
         base = verdict.rule or "WASP-S001"
         diags.append(Diagnostic(
             rule="WASP-T003",
@@ -218,24 +209,21 @@ def _ordering_diagnostics(
             hint="fix the barrier/credit protocol first — value "
                  "equivalence cannot hold across a data race",
         ))
-    if not assume_verified:
-        from repro.analysis.verifier import verify_program
-
-        for diag in verify_program(specialized):
-            family = diag.rule.split("-")[1][0]
-            if diag.severity is Severity.ERROR and family in "QDS":
-                diags.append(Diagnostic(
-                    rule="WASP-T003",
-                    message=(
-                        f"static verifier found {diag.rule} on the "
-                        f"specialized program: {diag.message}"
-                    ),
-                    kernel=specialized.name,
-                    stage=diag.stage,
-                    block=diag.block,
-                    instruction=diag.instruction,
-                    hint=diag.hint,
-                ))
+    for diag in facts.report:
+        family = diag.rule.split("-")[1][0]
+        if diag.severity is Severity.ERROR and family in "QDS":
+            diags.append(Diagnostic(
+                rule="WASP-T003",
+                message=(
+                    f"static verifier found {diag.rule} on the "
+                    f"specialized program: {diag.message}"
+                ),
+                kernel=specialized.name,
+                stage=diag.stage,
+                block=diag.block,
+                instruction=diag.instruction,
+                hint=diag.hint,
+            ))
     return diags
 
 

@@ -13,14 +13,12 @@ carrying the full report.
 
 from __future__ import annotations
 
-from repro.analysis.cfg import build_view
 from repro.analysis.deadlock import check_deadlock
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
+from repro.analysis.facts import PipelineFacts
 from repro.analysis.queues import check_queues
 from repro.analysis.resources import VerifyLimits, check_resources
-from repro.analysis.sites import collect_sites
 from repro.analysis.smem import check_smem
-from repro.core.specs import ThreadBlockSpec
 from repro.errors import VerificationError
 from repro.isa.program import Program
 from repro.telemetry.registry import TELEMETRY
@@ -30,13 +28,17 @@ from repro.telemetry.spans import span
 def verify_program(
     program: Program,
     limits: VerifyLimits | None = None,
+    *,
+    facts: PipelineFacts | None = None,
 ) -> DiagnosticReport:
     """Run every static-analysis pass over ``program``.
 
     Never raises on findings — the report carries them.  Structural
     breakage severe enough to invalidate the CFG (duplicate labels,
-    unresolved branch targets) short-circuits the protocol passes,
-    since stage partitioning would be meaningless.
+    unresolved branch targets) short-circuits the protocol passes
+    before the stage view is built, since stage partitioning would be
+    meaningless.  ``facts`` are the program's shared facts; without
+    them the passes build private ones.
     """
     with span("verifier", "verify"):
         limits = limits or VerifyLimits()
@@ -48,16 +50,11 @@ def verify_program(
                for d in structural):
             return _finish(report)
 
-        view = build_view(program)
-        sites = collect_sites(view)
-        spec = program.tb_spec if isinstance(
-            program.tb_spec, ThreadBlockSpec
-        ) else None
-
-        report.extend(check_queues(view, sites, spec))
-        report.extend(check_deadlock(view, sites, spec))
-        report.extend(check_smem(view, sites, spec))
-        report.extend(check_resources(view, spec, limits))
+        facts = facts or PipelineFacts(program)
+        report.extend(check_queues(facts))
+        report.extend(check_deadlock(facts))
+        report.extend(check_smem(facts))
+        report.extend(check_resources(facts, limits))
         return _finish(report)
 
 
@@ -75,11 +72,10 @@ def _finish(report: DiagnosticReport) -> DiagnosticReport:
 
 
 def verify_or_raise(
-    program: Program,
-    limits: VerifyLimits | None = None,
+    program: Program, *, facts: PipelineFacts | None = None
 ) -> DiagnosticReport:
     """Verify and raise :class:`VerificationError` on any error finding."""
-    report = verify_program(program, limits)
+    report = (facts or PipelineFacts(program)).report
     errors = report.errors
     if errors:
         raise VerificationError(

@@ -1383,17 +1383,18 @@ def _verifier_summary(result, kernel) -> str:
     """One-line static-verifier status for a profiled kernel.
 
     The compiler already verified (and would have raised) during
-    compilation; re-running the passes here is cheap and also covers
-    kernels that fell back to the original program.
+    compilation, so a specialized kernel reads the compile's shared
+    report; kernels that fell back to the original program are
+    verified here.
     """
-    from repro.analysis import verify_program
+    from repro.analysis.facts import PipelineFacts
 
     compile_result = getattr(result, "compile_result", None)
-    program = (
-        compile_result.program if compile_result is not None
-        else kernel.program
+    facts = getattr(compile_result, "facts", None) or PipelineFacts(
+        kernel.program if compile_result is None
+        else compile_result.program
     )
-    return verify_program(program).summary_line()
+    return facts.report.summary_line()
 
 
 def _run_one(artifact: str, args: argparse.Namespace) -> None:

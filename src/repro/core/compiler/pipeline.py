@@ -11,7 +11,7 @@ report used by the evaluation harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.compiler.buffering import (
     MAX_PIPELINE_DEPTH,
@@ -32,6 +32,9 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FuncUnit, Opcode
 from repro.isa.program import Program
 from repro.telemetry.spans import span
+
+if TYPE_CHECKING:
+    from repro.analysis.facts import PipelineFacts
 
 # A100: 192 KB combined L1/SMEM per SM; up to ~164 KB usable as SMEM.
 DEFAULT_SMEM_CAPACITY_WORDS = (164 * 1024) // 4
@@ -140,6 +143,10 @@ class CompileResult:
     #: Translation-validation report (None when validation is disabled
     #: or the compile was not specialized).
     transval: object | None = None
+    #: Static facts of the specialized program — view, sites, HB solve,
+    #: verifier report — shared by every analysis that reads it (None
+    #: when the compile was not specialized).
+    facts: PipelineFacts | None = None
 
     @property
     def uniform_registers(self) -> int:
@@ -248,20 +255,21 @@ class WaspCompiler:
                 smem_words=work.smem_words,
                 smem_buffers=work.smem_buffers,
             )
+        # Imported lazily: the analysis package partitions the *output*
+        # of this compiler and is otherwise independent.
+        from repro.analysis.facts import PipelineFacts
+
+        facts = PipelineFacts(combined)
         diagnostics: list = []
         if opts.verify:
-            # Imported lazily: the analysis package partitions the
-            # *output* of this compiler and is otherwise independent.
             from repro.analysis.verifier import verify_or_raise
 
-            diagnostics = list(verify_or_raise(combined))
+            diagnostics = list(verify_or_raise(combined, facts=facts))
         transval = None
         if opts.validate:
             from repro.analysis.transval import validate_or_raise
 
-            transval = validate_or_raise(
-                program, combined, assume_verified=opts.verify
-            )
+            transval = validate_or_raise(program, combined, facts=facts)
         return self._emit(CompileResult(
             original=program,
             program=combined,
@@ -276,6 +284,7 @@ class WaspCompiler:
             dropped_stages=dropped,
             diagnostics=diagnostics,
             transval=transval,
+            facts=facts,
         ))
 
 

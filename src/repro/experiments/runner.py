@@ -35,21 +35,17 @@ from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 from repro.workloads.base import Benchmark, Kernel
 
-_OPT_KEY_FIELDS = (
-    "enable_streaming",
-    "enable_tile",
-    "enable_tma_offload",
-    "double_buffering",
-    "max_stages",
-    "queue_size",
-    "smem_capacity_words",
-)
-
-
 def _options_key(options: WaspCompilerOptions | None):
+    """Every compiler option that can change the compiled program.
+
+    The post-pass checks (``verify``/``validate``) only accept or
+    reject a compile, so they stay out of the key.
+    """
     if options is None:
         return None
-    return tuple(getattr(options, f) for f in _OPT_KEY_FIELDS)
+    fields = options.to_json()
+    del fields["verify"], fields["validate"]
+    return tuple(sorted(fields.items()))
 
 
 @dataclass

@@ -40,6 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.diagnostics import Severity
+from repro.analysis.facts import PipelineFacts
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.errors import CompilerError, ReproError, VerificationError
 from repro.fexec.machine import run_kernel
@@ -251,12 +252,10 @@ def _queue_balance(traces: list[KernelTrace]) -> dict[int, tuple[int, int]]:
     return {qid: (p, c) for qid, (p, c) in balance.items()}
 
 
-def _verifier_rules(program) -> list[str]:
-    """Rule ids the static verifier reports for ``program``."""
-    from repro.analysis import verify_program
-
+def _verifier_rules(facts: PipelineFacts) -> list[str]:
+    """Rule ids the static verifier reports for ``facts.program``."""
     try:
-        report = verify_program(program)
+        report = facts.report
     except ReproError as exc:
         return [f"verifier-crash:{type(exc).__name__}"]
     return sorted({d.rule for d in report.diagnostics})
@@ -340,7 +339,7 @@ def _check_one_variant(
 ) -> None:
     spec = report.spec
 
-    def fail(check: str, message: str, program=None) -> None:
+    def fail(check: str, message: str, facts=None) -> None:
         report.failures.append(FuzzFailure(
             seed=spec.seed,
             spec=spec,
@@ -348,7 +347,7 @@ def _check_one_variant(
             message=message,
             options_name=name,
             verifier_rules=(
-                _verifier_rules(program) if program is not None else []
+                _verifier_rules(facts) if facts is not None else []
             ),
         ))
 
@@ -383,23 +382,21 @@ def _check_one_variant(
                 location=diag.location,
             ))
 
-    program = result.program
+    facts = result.facts
     if inject is not None:
         from repro.fuzz.mutate import apply_mutation
 
-        mutated = apply_mutation(program, inject)
+        mutated = apply_mutation(result.program, inject)
         if mutated is None:
             return  # no applicable site in this variant
-        program = mutated
+        facts = PipelineFacts(mutated)
 
-    verdict = _transval_verdict(
-        kernel, program, fail, assume_verified=inject is None
-    )
+    verdict = _transval_verdict(kernel, facts, fail)
     report.transval_verdicts[name] = verdict
 
     before = len(report.failures)
     _run_dynamic_checks(
-        kernel, program, result, want, ref_stores, inject, fail
+        kernel, facts, result, want, ref_stores, inject, fail
     )
     dynamic_failed = len(report.failures) > before
 
@@ -414,20 +411,18 @@ def _check_one_variant(
             "transval-false-equivalent",
             "translation validator certified a program the functional "
             f"oracle rejected ({report.failures[before].check})",
-            program=program,
+            facts=facts,
         )
     elif verdict == "not-equivalent" and inject is None and not dynamic_failed:
         fail(
             "transval-disagreement",
             "translation validator rejected a clean compile the "
             "functional oracle accepted",
-            program=program,
+            facts=facts,
         )
 
 
-def _transval_verdict(
-    kernel: Kernel, program, fail, *, assume_verified: bool
-) -> str:
+def _transval_verdict(kernel: Kernel, facts: PipelineFacts, fail) -> str:
     """Static verdict for one compiled (possibly mutated) variant.
 
     A validator crash is itself an oracle failure — the certificate
@@ -437,20 +432,20 @@ def _transval_verdict(
 
     try:
         return validate_programs(
-            kernel.program, program, assume_verified=assume_verified
+            kernel.program, facts.program, facts=facts
         ).verdict
     except ReproError as exc:
         fail(
             "transval-crash",
             f"{type(exc).__name__}: {str(exc)[:300]}",
-            program=program,
+            facts=facts,
         )
         return "crash"
 
 
 def _run_dynamic_checks(
     kernel: Kernel,
-    program,
+    facts: PipelineFacts,
     result,
     want: np.ndarray,
     ref_stores: int,
@@ -462,6 +457,7 @@ def _run_dynamic_checks(
         num_warps=kernel.launch.num_warps * result.num_stages,
     )
     image = kernel.image_factory()
+    program = facts.program
     try:
         # Injected corruptions additionally run under the SMEM
         # sanitizer: orderings a mutation breaks without deadlocking
@@ -475,7 +471,7 @@ def _run_dynamic_checks(
             "deadlock" if "deadlock" in type(exc).__name__.lower()
             else "runtime-crash",
             f"{type(exc).__name__}: {str(exc)[:300]}",
-            program=program,
+            facts=facts,
         )
         return
 
@@ -484,7 +480,7 @@ def _run_dynamic_checks(
             "sanitizer-race",
             f"{len(spec_result.races)} unordered SMEM access pair(s); "
             f"first: {spec_result.races[0].format()}",
-            program=program,
+            facts=facts,
         )
         return
 
@@ -496,7 +492,7 @@ def _run_dynamic_checks(
             "memory-divergence",
             f"{diff.size} words differ; first at {first} "
             f"(got {got[first]!r}, want {exp[first]!r})",
-            program=program,
+            facts=facts,
         )
         return
 
@@ -505,12 +501,12 @@ def _run_dynamic_checks(
         fail(
             "instr-accounting",
             f"dynamic STG count changed: {ref_stores} -> {spec_stores}",
-            program=program,
+            facts=facts,
         )
     for qid, (pushes, pops) in _queue_balance(spec_result.traces).items():
         if pushes != pops:
             fail(
                 "queue-balance",
                 f"queue {qid}: {pushes} pushes vs {pops} pops",
-                program=program,
+                facts=facts,
             )

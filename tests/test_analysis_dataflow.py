@@ -20,7 +20,7 @@ from repro.analysis.dataflow.framework import (
     dominators,
     solve,
 )
-from repro.analysis.dataflow.hb import analyze_program
+from repro.analysis.facts import PipelineFacts
 from repro.core.specs import NamedQueueSpec, ThreadBlockSpec
 from repro.errors import DeadlockError
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
@@ -260,7 +260,7 @@ def test_ring8_sanitizer_clean():
 
 
 def test_ring8_hb_orders_every_cross_stage_pair():
-    analysis = analyze_program(build_ring_program())
+    analysis = PipelineFacts(build_ring_program()).hb
     assert not analysis.racy()
     # Every slot contributes a cross-stage STS/LDS pair and the engine
     # resolves each one (nothing falls back to unresolved).

@@ -14,6 +14,7 @@ from dataclasses import replace
 from tests.test_analysis_dataflow import build_ring_program
 
 from repro.analysis.dataflow.hb import HBAnalysis
+from repro.analysis.facts import PipelineFacts
 from repro.analysis.racediff import (
     diff_races,
     racediff_spec,
@@ -146,10 +147,9 @@ def test_gpu_config_sanitize_reaches_sim_result():
 
 
 def test_racediff_clean_on_the_ring():
-    program = build_ring_program()
     diff = diff_races(
         "ring8",
-        program,
+        PipelineFacts(build_ring_program()),
         MemoryImage(1 << 10),
         LaunchConfig(num_warps=2),
     )
@@ -165,7 +165,7 @@ def test_racediff_covers_observed_races():
     assert mutant is not None
     diff = diff_races(
         "ring8:phase-off-by-one",
-        mutant,
+        PipelineFacts(mutant),
         MemoryImage(1 << 10),
         LaunchConfig(num_warps=2),
     )
@@ -176,13 +176,13 @@ def test_racediff_covers_observed_races():
 def test_racediff_flags_a_static_false_negative():
     # Forcing an empty static verdict makes every observed race a
     # reported false negative — the failure mode the gate exists for.
-    program = _two_stage_program(synchronized=False)
+    facts = PipelineFacts(_two_stage_program(synchronized=False))
+    facts.hb = HBAnalysis()
     diff = diff_races(
         "san:blindfolded",
-        program,
+        facts,
         MemoryImage(1 << 10),
         LaunchConfig(num_warps=2),
-        analysis=HBAnalysis(),
     )
     assert not diff.ok
     assert diff.missing
@@ -193,7 +193,7 @@ def test_racediff_skips_programs_that_fault():
     assert mutant is not None
     diff = diff_races(
         "ring8:drop-arrive",
-        mutant,
+        PipelineFacts(mutant),
         MemoryImage(1 << 10),
         LaunchConfig(num_warps=2),
     )

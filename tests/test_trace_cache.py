@@ -10,6 +10,7 @@ regeneration.
 
 import gzip
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_options_distinguish_cache_entries():
     kernel = _tiny_kernel()
     options = wasp_gpu_config().compiler
     assert cache.key_for(kernel, None) != cache.key_for(kernel, options)
+
+
+def test_ring_depth_distinguishes_cache_entries():
+    # A depth-4 compile is a different program from a depth-2 one, so
+    # it must never replay the depth-2 trace.
+    cache = TraceCache()
+    kernel = _tiny_kernel()
+    options = wasp_gpu_config().compiler
+    deep = replace(options, pipeline_depth=4)
+    assert cache.key_for(kernel, options) != cache.key_for(kernel, deep)
+    # The post-pass checks never change the compiled program.
+    unchecked = replace(options, verify=False, validate=False)
+    assert cache.key_for(kernel, options) == cache.key_for(
+        kernel, unchecked
+    )
 
 
 # -- disk round-trip ---------------------------------------------------------
