@@ -6,6 +6,14 @@ pass yet, or finishes with ``EXIT``.  Register values are warp-wide
 float64 vectors, so gather indices and coalescing behaviour are computed
 from real per-lane values.
 
+Each :func:`run_kernel` call validates and decodes the program once
+(:class:`_Code`): every static instruction becomes an :class:`_Op`
+holding its trace-record fields, the queues it pops, one reader per
+operand and its opcode handler.  All thread blocks of the launch share
+that table, so executing an instruction does its semantics and nothing
+else — no operand type dispatch, no opcode ``if``-chain, no record
+rebuilding.
+
 The machine emits :class:`~repro.fexec.trace.DynamicInstr` records that
 the timing simulator replays (:mod:`repro.sim`).
 """
@@ -13,7 +21,7 @@ the timing simulator replays (:mod:`repro.sim`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,11 +56,216 @@ _CMP_FUNCS = {
     "ne": np.not_equal,
 }
 
+Vec = np.ndarray
+Reader = Callable[["FunctionalMachine", "_WarpState"], Vec]
+Alu = Callable[[list[Vec]], "Vec | None"]
+
 
 def _flat_reg(op: Register | Predicate) -> int:
     if isinstance(op, Predicate):
         return PRED_BASE + op.index
     return op.index
+
+
+def _frozen(array: Vec) -> Vec:
+    """``array`` made read-only: it is shared, so writes must raise."""
+    array.flags.writeable = False
+    return array
+
+
+def _divide(v: list[Vec]) -> Vec:
+    return np.floor(v[0] / np.where(v[1] != 0, v[1], 1.0))
+
+
+def _reciprocal(v: list[Vec]) -> Vec:
+    with np.errstate(divide="ignore"):
+        return np.where(v[0] != 0, 1.0 / v[0], 0.0)
+
+
+_ALU: dict[Opcode, Alu] = {
+    Opcode.IADD: lambda v: v[0] + v[1],
+    Opcode.FADD: lambda v: v[0] + v[1],
+    Opcode.IMUL: lambda v: v[0] * v[1],
+    Opcode.FMUL: lambda v: v[0] * v[1],
+    Opcode.IDIV: _divide,
+    Opcode.IMAD: lambda v: v[0] * v[1] + v[2],
+    Opcode.FFMA: lambda v: v[0] * v[1] + v[2],
+    Opcode.HMMA: lambda v: v[0] * v[1] + v[2],
+    Opcode.SHL: lambda v: np.floor(v[0]) * (2.0 ** np.floor(v[1])),
+    Opcode.SHR: lambda v: np.floor(
+        np.floor(v[0]) / (2.0 ** np.floor(v[1]))
+    ),
+    Opcode.AND: lambda v: (
+        v[0].astype(np.int64) & v[1].astype(np.int64)
+    ).astype(np.float64),
+    Opcode.OR: lambda v: (
+        v[0].astype(np.int64) | v[1].astype(np.int64)
+    ).astype(np.float64),
+    Opcode.MIN: lambda v: np.minimum(v[0], v[1]),
+    Opcode.MAX: lambda v: np.maximum(v[0], v[1]),
+    Opcode.MOV: lambda v: v[0].copy(),
+    Opcode.SEL: lambda v: np.where(v[0].astype(bool), v[1], v[2]),
+    Opcode.FRCP: _reciprocal,
+    Opcode.NOP: lambda v: None,
+}
+
+
+def _alu(instr: Instruction, width: int) -> Alu | None:
+    """The lane-wise function of an ALU instruction (``None``: not ALU)."""
+    if instr.opcode is Opcode.ISETP:
+        cmp = _CMP_FUNCS[instr.attrs["cmp"]]
+        return lambda v: cmp(v[0], v[1]).astype(np.float64)
+    if instr.opcode is Opcode.REDUX:
+        return lambda v: np.full(width, float(v[0].sum()))
+    return _ALU.get(instr.opcode)
+
+
+# -- decoding -------------------------------------------------------------
+
+
+def _reader(op: Operand, code: "_Code") -> Reader:
+    """A function evaluating ``op`` for one warp."""
+    if isinstance(op, (Register, Predicate)):
+        flat, zeros = _flat_reg(op), code.zeros
+
+        def read_reg(m: FunctionalMachine, warp: _WarpState) -> Vec:
+            return warp.regs.get(flat, zeros)
+
+        return read_reg
+    if isinstance(op, Immediate):
+        value = _frozen(np.full(code.width, float(op.value)))
+        return lambda m, warp: value
+    if isinstance(op, SpecialRegister):
+        if op.which is SpecialReg.LANE_ID:
+            lanes = code.lanes
+            return lambda m, warp: lanes
+        which = op.which
+        return lambda m, warp: warp.specials[which]
+    if isinstance(op, QueueRef):
+        # Caller must have checked can_pop; popping here keeps
+        # evaluation order identical to operand order.
+        queue_id = op.queue_id
+        return lambda m, warp: m._pop(warp, queue_id)
+
+    def unreadable(m: FunctionalMachine, warp: _WarpState) -> Vec:
+        raise ExecutionError(f"cannot evaluate operand {op!r}")
+
+    return unreadable
+
+
+class _Op:
+    """One decoded static instruction.
+
+    ``run`` executes it for one warp and returns its trace record.
+    ``record`` carries the static trace fields.  Instructions whose
+    record has no dynamic field (no sectors, SMEM words, store flag or
+    TMA job) append ``record`` itself for every execution; the others
+    copy its static fields into a fresh record.
+    """
+
+    __slots__ = (
+        "instr", "opcode", "run", "reads", "guard", "negated", "pops",
+        "push", "dst", "alu", "barrier", "record", "next", "target",
+        "falls_through",
+    )
+
+    def __init__(
+        self,
+        instr: Instruction,
+        code: "_Code",
+        next_pos: tuple[int, int] | None,
+    ) -> None:
+        self.instr = instr
+        self.opcode = instr.opcode
+        self.run = _HANDLERS[instr.opcode]
+        self.reads = tuple(_reader(s, code) for s in instr.srcs)
+        self.guard = (
+            None if instr.guard is None else _reader(instr.guard, code)
+        )
+        self.negated = instr.guard_negated
+        self.pops = tuple(ref.queue_id for ref in instr.queue_pops())
+        dst = instr.dst
+        self.push = dst.queue_id if isinstance(dst, QueueRef) else None
+        self.dst = (
+            _flat_reg(dst) if isinstance(dst, (Register, Predicate)) else None
+        )
+        self.alu = _alu(instr, code.width)
+        # Instruction.__post_init__ guarantees barrier ids on BAR.* and
+        # targets on BRA; validation guarantees the target resolves.
+        self.barrier = instr.barrier_id or ""
+        self.next = next_pos
+        # BRA and EXIT place the warp themselves; every other opcode
+        # falls through to ``next`` once its handler returns.
+        self.falls_through = instr.opcode not in (Opcode.BRA, Opcode.EXIT)
+        self.target = (
+            code.label_to_idx[instr.target or ""]
+            if instr.opcode is Opcode.BRA else -1
+        )
+        src_regs = tuple(
+            _flat_reg(op)
+            for op in instr.srcs
+            if isinstance(op, (Register, Predicate))
+        )
+        if instr.guard is not None:
+            src_regs += (_flat_reg(instr.guard),)
+        assert instr.category is not None  # set by Instruction.__post_init__
+        self.record = DynamicInstr(
+            opcode=instr.opcode,
+            unit=instr.info.unit,
+            category=instr.category,
+            dst_regs=() if self.dst is None else (self.dst,),
+            src_regs=src_regs,
+            queue_push=self.push,
+            queue_pop=self.pops[0] if self.pops else None,
+            barrier_id=instr.barrier_id,
+        )
+
+    def record_with(
+        self,
+        sectors: tuple[int, ...] = (),
+        is_store: bool = False,
+        smem_words: int = 0,
+        tma_job: dict[str, Any] | None = None,
+    ) -> DynamicInstr:
+        r = self.record
+        return DynamicInstr(
+            r.opcode, r.unit, r.category, r.dst_regs, r.src_regs,
+            r.queue_push, r.queue_pop, r.barrier_id,
+            sectors, is_store, smem_words, tma_job,
+        )
+
+
+class _Code:
+    """A validated program decoded for one launch's warp width.
+
+    ``blocks[b][i]`` decodes ``program.blocks[b].instructions[i]``;
+    ``block_next[b]`` is where a warp lands after falling off the end
+    of block ``b`` (``None``: off the end of the program).
+    """
+
+    def __init__(self, program: Program, width: int) -> None:
+        program.validate()
+        self.width = width
+        self.ones = _frozen(np.ones(width, dtype=bool))
+        self.zeros = _frozen(np.zeros(width))
+        self.lanes = _frozen(np.arange(width, dtype=np.float64))
+        self.register_count = program.register_count()
+        blocks = program.blocks
+        self.label_to_idx = {b.label: i for i, b in enumerate(blocks)}
+        self.block_next: list[tuple[int, int] | None] = [None] * len(blocks)
+        landing: tuple[int, int] | None = None
+        for b in reversed(range(len(blocks))):
+            self.block_next[b] = landing
+            if blocks[b].instructions:
+                landing = (b, 0)
+        self.blocks: list[list[_Op]] = []
+        for b, block in enumerate(blocks):
+            end = self.block_next[b]
+            last = len(block.instructions) - 1
+            self.blocks.append([
+                _Op(instr, self, end if i == last else (b, i + 1))
+                for i, instr in enumerate(block.instructions)
+            ])
 
 
 @dataclass
@@ -63,10 +276,11 @@ class _WarpState:
     pipe_stage_id: int
     stage_warp_id: int
     num_stage_warps: int
+    specials: dict[SpecialReg, Vec] = field(default_factory=dict)
     block_idx: int = 0
     instr_idx: int = 0
     done: bool = False
-    regs: dict[int, np.ndarray] = field(default_factory=dict)
+    regs: dict[int, Vec] = field(default_factory=dict)
     trace: WarpTrace | None = None
     blocked_reason: str = ""
 
@@ -75,7 +289,8 @@ class FunctionalMachine:
     """Interprets one thread block of a program.
 
     Use :func:`run_kernel` for the common case of running every thread
-    block of a launch.
+    block of a launch; it decodes the program once and passes the
+    result as ``code``.
     """
 
     def __init__(
@@ -86,16 +301,17 @@ class FunctionalMachine:
         tb_id: int = 0,
         collect_trace: bool = True,
         sanitize: bool = False,
+        code: _Code | None = None,
     ) -> None:
-        program.validate()
+        if code is None:
+            code = _Code(program, launch.warp_width)
+        self._code = code
         self.program = program
         self.memory = memory
         self.launch = launch
         self.tb_id = tb_id
         self.collect_trace = collect_trace
         self.smem = np.zeros(max(1, program.smem_words), dtype=np.float64)
-        self._blocks = program.blocks
-        self._label_to_idx = {b.label: i for i, b in enumerate(self._blocks)}
         # Queues are per pipeline slice: warp k of stage S communicates
         # with warp k of stage S+1 (the paper's TB0_W<k>_QS0S1 naming),
         # so the channel key is (queue_id, slice index).
@@ -123,11 +339,23 @@ class FunctionalMachine:
         else:
             stage, stage_warp_id = 0, warp_id
             num_stage_warps = self.launch.num_warps
+        values = {
+            SpecialReg.WARP_ID: warp_id,
+            SpecialReg.TB_ID: self.tb_id,
+            SpecialReg.NUM_WARPS: self.launch.num_warps,
+            SpecialReg.PIPE_STAGE_ID: stage,
+            SpecialReg.STAGE_WARP_ID: stage_warp_id,
+            SpecialReg.NUM_STAGE_WARPS: num_stage_warps,
+        }
         warp = _WarpState(
             warp_id=warp_id,
             pipe_stage_id=stage,
             stage_warp_id=stage_warp_id,
             num_stage_warps=num_stage_warps,
+            specials={
+                which: _frozen(np.full(self.launch.warp_width, float(v)))
+                for which, v in values.items()
+            },
         )
         if self.collect_trace:
             warp.trace = WarpTrace(warp_id=warp_id, pipe_stage_id=stage)
@@ -135,9 +363,10 @@ class FunctionalMachine:
 
     def _queue(self, queue_id: int, slice_id: int) -> FunctionalQueue:
         key = (queue_id, slice_id)
-        if key not in self._queues:
-            self._queues[key] = FunctionalQueue(queue_id)
-        return self._queues[key]
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = FunctionalQueue(queue_id)
+        return queue
 
     def _aw_barrier(self, barrier_id: str) -> ArriveWaitBarrier:
         if barrier_id not in self._aw_barriers:
@@ -160,50 +389,31 @@ class FunctionalMachine:
 
     # -- value evaluation ---------------------------------------------------
 
-    def _broadcast(self, value: float) -> np.ndarray:
-        return np.full(self.launch.warp_width, float(value))
+    def _pop(self, warp: _WarpState, queue_id: int) -> Vec:
+        value = self._queue(queue_id, warp.stage_warp_id).pop()
+        if self._san is not None:
+            self._san.on_pop(warp.warp_id, queue_id, warp.stage_warp_id)
+        return value
 
-    def _special_value(self, warp: _WarpState, which: SpecialReg) -> np.ndarray:
-        width = self.launch.warp_width
-        if which is SpecialReg.LANE_ID:
-            return np.arange(width, dtype=np.float64)
-        table = {
-            SpecialReg.WARP_ID: warp.warp_id,
-            SpecialReg.TB_ID: self.tb_id,
-            SpecialReg.NUM_WARPS: self.launch.num_warps,
-            SpecialReg.PIPE_STAGE_ID: warp.pipe_stage_id,
-            SpecialReg.STAGE_WARP_ID: warp.stage_warp_id,
-            SpecialReg.NUM_STAGE_WARPS: warp.num_stage_warps,
-        }
-        return self._broadcast(table[which])
+    def _push(self, warp: _WarpState, queue_id: int, value: Vec) -> None:
+        self._queue(queue_id, warp.stage_warp_id).push(value)
+        if self._san is not None:
+            self._san.on_push(warp.warp_id, queue_id, warp.stage_warp_id)
 
-    def _value(self, warp: _WarpState, op: Operand) -> np.ndarray:
-        if isinstance(op, (Register, Predicate)):
-            flat = _flat_reg(op)
-            if flat not in warp.regs:
-                warp.regs[flat] = self._broadcast(0.0)
-            return warp.regs[flat]
-        if isinstance(op, Immediate):
-            return self._broadcast(op.value)
-        if isinstance(op, SpecialRegister):
-            return self._special_value(warp, op.which)
-        if isinstance(op, QueueRef):
-            # Caller must have checked can_pop; popping here keeps
-            # evaluation order identical to operand order.
-            value = self._queue(op.queue_id, warp.stage_warp_id).pop()
-            if self._san is not None:
-                self._san.on_pop(
-                    warp.warp_id, op.queue_id, warp.stage_warp_id
-                )
-            return value
-        raise ExecutionError(f"cannot evaluate operand {op!r}")
-
-    def _uniform_int(self, warp: _WarpState, op: Operand) -> int:
-        vec = self._value(warp, op)
+    def _uniform_int(self, warp: _WarpState, op: _Op, k: int) -> int:
+        vec = op.reads[k](self, warp)
         first = vec.flat[0]
         if not np.all(vec == first):
-            raise ExecutionError(f"operand {op!r} must be warp-uniform")
+            raise ExecutionError(
+                f"operand {op.instr.srcs[k]!r} must be warp-uniform"
+            )
         return int(first)
+
+    def _mask(self, warp: _WarpState, op: _Op) -> Vec:
+        if op.guard is None:
+            return self._code.ones
+        mask = op.guard(self, warp).astype(bool)
+        return ~mask if op.negated else mask
 
     # -- execution ----------------------------------------------------------
 
@@ -240,55 +450,28 @@ class FunctionalMachine:
             progressed = True
         return progressed
 
-    def _fetch(self, warp: _WarpState) -> Instruction | None:
-        block = self._blocks[warp.block_idx]
-        if warp.instr_idx < len(block.instructions):
-            return block.instructions[warp.instr_idx]
-        return None
-
-    def _advance(self, warp: _WarpState) -> None:
-        warp.instr_idx += 1
-        block = self._blocks[warp.block_idx]
-        while warp.instr_idx >= len(block.instructions):
-            # Fall through to the next block in layout order.
-            warp.block_idx += 1
-            warp.instr_idx = 0
-            if warp.block_idx >= len(self._blocks):
-                raise ExecutionError(
-                    f"warp {warp.warp_id} fell off program "
-                    f"{self.program.name!r}"
-                )
-            block = self._blocks[warp.block_idx]
-
-    def _guard_mask(self, warp: _WarpState, instr: Instruction) -> np.ndarray:
-        if instr.guard is None:
-            return np.ones(self.launch.warp_width, dtype=bool)
-        mask = self._value(warp, instr.guard).astype(bool)
-        if instr.guard_negated:
-            mask = ~mask
-        return mask
-
     def _step(self, warp: _WarpState) -> bool:
         """Execute one instruction; False if blocked."""
-        instr = self._fetch(warp)
-        if instr is None:
-            self._advance_from_block_end(warp)
+        ops = self._code.blocks[warp.block_idx]
+        if warp.instr_idx >= len(ops):
+            self._goto(warp, self._code.block_next[warp.block_idx])
             return True
+        op = ops[warp.instr_idx]
         # Blocking checks first (no side effects before we commit).
-        for queue_ref in instr.queue_pops():
-            if not self._queue(queue_ref.queue_id, warp.stage_warp_id).can_pop():
-                warp.blocked_reason = f"queue {queue_ref.queue_id} empty"
+        for queue_id in op.pops:
+            if not self._queue(queue_id, warp.stage_warp_id).can_pop():
+                warp.blocked_reason = f"queue {queue_id} empty"
                 return False
-        if instr.opcode is Opcode.BAR_WAIT:
-            barrier = self._aw_barrier(instr.barrier_id)
-            if not barrier.can_pass(warp.warp_id):
-                warp.blocked_reason = f"wait {instr.barrier_id}"
+        opcode = op.opcode
+        if opcode is Opcode.BAR_WAIT:
+            if not self._aw_barrier(op.barrier).can_pass(warp.warp_id):
+                warp.blocked_reason = f"wait {op.barrier}"
                 return False
-        if instr.opcode is Opcode.BAR_SYNC:
-            barrier = self._sync_barrier(instr.barrier_id)
+        elif opcode is Opcode.BAR_SYNC:
+            barrier = self._sync_barrier(op.barrier)
             barrier.mark_arrived(warp.warp_id)
             if not barrier.can_pass(warp.warp_id):
-                warp.blocked_reason = f"sync {instr.barrier_id}"
+                warp.blocked_reason = f"sync {op.barrier}"
                 return False
         self._dynamic_count += 1
         if self._dynamic_count > _MAX_DYNAMIC_INSTRS:
@@ -296,238 +479,164 @@ class FunctionalMachine:
                 f"kernel {self.program.name!r} exceeded the dynamic "
                 f"instruction cap ({_MAX_DYNAMIC_INSTRS})"
             )
-        self._execute(warp, instr)
+        record = op.run(self, warp, op)
+        if warp.trace is not None:
+            warp.trace.instrs.append(record)
+        if op.falls_through:
+            self._goto(warp, op.next)
         return True
 
-    def _advance_from_block_end(self, warp: _WarpState) -> None:
-        warp.instr_idx = len(self._blocks[warp.block_idx].instructions)
-        self._advance(warp)
+    def _goto(self, warp: _WarpState, pos: tuple[int, int] | None) -> None:
+        """Fall through to ``pos`` (``None``: off the program's end)."""
+        if pos is None:
+            raise ExecutionError(
+                f"warp {warp.warp_id} fell off program "
+                f"{self.program.name!r}"
+            )
+        warp.block_idx, warp.instr_idx = pos
 
     # -- per-opcode semantics -------------------------------------------
 
-    def _execute(self, warp: _WarpState, instr: Instruction) -> None:
-        opcode = instr.opcode
-        if opcode is Opcode.BRA:
-            self._exec_branch(warp, instr)
-            return
-        if opcode is Opcode.EXIT:
-            warp.done = True
-            self._record(warp, instr)
-            return
-        if opcode in (Opcode.BAR_SYNC, Opcode.BAR_ARRIVE, Opcode.BAR_WAIT):
-            self._exec_barrier(warp, instr)
-            self._advance(warp)
-            return
-        if opcode in (Opcode.TMA_TILE, Opcode.TMA_STREAM, Opcode.TMA_GATHER):
-            self._exec_tma(warp, instr)
-            self._advance(warp)
-            return
-        self._exec_data(warp, instr)
-        self._advance(warp)
+    def _exec_alu(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        assert op.alu is not None
+        result = op.alu([read(self, warp) for read in op.reads])
+        if result is not None:
+            self._writeback(warp, op, result, mask)
+        return op.record
 
-    def _exec_branch(self, warp: _WarpState, instr: Instruction) -> None:
-        taken = True
-        if instr.guard is not None:
-            mask = self._value(warp, instr.guard).astype(bool)
-            if instr.guard_negated:
-                mask = ~mask
-            if mask.all():
-                taken = True
-            elif not mask.any():
-                taken = False
-            else:
-                raise ExecutionError(
-                    f"divergent branch in {self.program.name!r} "
-                    f"(warp {warp.warp_id}); kernels must keep branches "
-                    "warp-uniform"
-                )
-        self._record(warp, instr)
-        if taken:
-            warp.block_idx = self._label_to_idx[instr.target]
-            warp.instr_idx = 0
+    def _exec_branch(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        if mask.all():
+            warp.block_idx, warp.instr_idx = op.target, 0
+        elif not mask.any():
+            self._goto(warp, op.next)
         else:
-            self._advance(warp)
+            raise ExecutionError(
+                f"divergent branch in {self.program.name!r} "
+                f"(warp {warp.warp_id}); kernels must keep branches "
+                "warp-uniform"
+            )
+        return op.record
 
-    def _exec_barrier(self, warp: _WarpState, instr: Instruction) -> None:
-        if instr.opcode is Opcode.BAR_ARRIVE:
-            self._aw_barrier(instr.barrier_id).arrive()
-            if self._san is not None:
-                self._san.on_arrive(warp.warp_id, instr.barrier_id)
-        elif instr.opcode is Opcode.BAR_WAIT:
-            barrier = self._aw_barrier(instr.barrier_id)
-            barrier.wait(warp.warp_id)
-            if self._san is not None:
-                self._san.on_wait_pass(
-                    warp.warp_id,
-                    instr.barrier_id,
-                    barrier.wait_counts[warp.warp_id],
-                    barrier.expected,
-                    barrier.initial_credit,
-                )
-        else:  # BAR_SYNC: arrival already marked in _step
-            sync = self._sync_barrier(instr.barrier_id)
-            phase = sync.warp_phase.get(warp.warp_id, 0)
-            sync.passed(warp.warp_id)
-            if self._san is not None:
-                self._san.on_sync_pass(
-                    warp.warp_id, instr.barrier_id, phase
-                )
-        self._record(warp, instr)
+    def _exec_exit(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        warp.done = True
+        return op.record
 
-    def _exec_data(self, warp: _WarpState, instr: Instruction) -> None:
-        opcode = instr.opcode
-        mask = self._guard_mask(warp, instr)
+    def _exec_arrive(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        self._aw_barrier(op.barrier).arrive()
+        if self._san is not None:
+            self._san.on_arrive(warp.warp_id, op.barrier)
+        return op.record
+
+    def _exec_wait(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        barrier = self._aw_barrier(op.barrier)
+        barrier.wait(warp.warp_id)
+        if self._san is not None:
+            self._san.on_wait_pass(
+                warp.warp_id,
+                op.barrier,
+                barrier.wait_counts[warp.warp_id],
+                barrier.expected,
+                barrier.initial_credit,
+            )
+        return op.record
+
+    def _exec_sync(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        # Arrival was already marked by the blocking check in _step.
+        sync = self._sync_barrier(op.barrier)
+        phase = sync.warp_phase.get(warp.warp_id, 0)
+        sync.passed(warp.warp_id)
+        if self._san is not None:
+            self._san.on_sync_pass(warp.warp_id, op.barrier, phase)
+        return op.record
+
+    def _exec_ldg(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        addrs = op.reads[0](self, warp).astype(np.int64)
+        active = addrs[mask]
+        result = np.zeros(self.launch.warp_width)
         sectors: tuple[int, ...] = ()
-        smem_words = 0
-        is_store = False
+        if active.size:
+            result[mask] = self.memory.load(active)
+            sectors = sectors_of(active)
+        self._writeback(warp, op, result, mask)
+        return op.record_with(sectors=sectors)
 
-        if opcode is Opcode.LDG:
-            addrs = self._value(warp, instr.srcs[0]).astype(np.int64)
-            active = addrs[mask]
-            result = np.zeros(self.launch.warp_width)
-            if active.size:
-                result[mask] = self.memory.load(active)
-                sectors = sectors_of(active)
-        elif opcode is Opcode.STG:
-            addrs = self._value(warp, instr.srcs[0]).astype(np.int64)
-            values = self._value(warp, instr.srcs[1])
-            if mask.any():
-                self.memory.store(addrs[mask], values[mask])
-                sectors = sectors_of(addrs[mask])
-            result = None
-            is_store = True
-        elif opcode is Opcode.LDS:
-            addrs = self._value(warp, instr.srcs[0]).astype(np.int64)
-            result = np.zeros(self.launch.warp_width)
-            if mask.any():
-                result[mask] = self._smem_load(addrs[mask], warp)
-            smem_words = int(mask.sum())
-        elif opcode is Opcode.STS:
-            addrs = self._value(warp, instr.srcs[0]).astype(np.int64)
-            values = self._value(warp, instr.srcs[1])
-            if mask.any():
-                self._smem_store(addrs[mask], values[mask], warp)
-            smem_words = int(mask.sum())
-            result = None
-            is_store = True
-        elif opcode is Opcode.LDGSTS:
-            gaddrs = self._value(warp, instr.srcs[0]).astype(np.int64)
-            saddrs = self._value(warp, instr.srcs[1]).astype(np.int64)
-            if mask.any():
-                self._smem_store(
-                    saddrs[mask], self.memory.load(gaddrs[mask]), warp
-                )
-                sectors = sectors_of(gaddrs[mask])
-            smem_words = int(mask.sum())
-            result = None
-            is_store = True
-        else:
-            result = self._alu(warp, instr, mask)
+    def _exec_stg(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        addrs = op.reads[0](self, warp).astype(np.int64)
+        values = op.reads[1](self, warp)
+        sectors: tuple[int, ...] = ()
+        if mask.any():
+            self.memory.store(addrs[mask], values[mask])
+            sectors = sectors_of(addrs[mask])
+        return op.record_with(sectors=sectors, is_store=True)
 
-        self._writeback(warp, instr, result, mask)
-        self._record(
-            warp,
-            instr,
-            sectors=sectors,
-            smem_words=smem_words,
-            is_store=is_store,
+    def _exec_lds(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        addrs = op.reads[0](self, warp).astype(np.int64)
+        result = np.zeros(self.launch.warp_width)
+        if mask.any():
+            result[mask] = self._smem_load(addrs[mask], warp)
+        self._writeback(warp, op, result, mask)
+        return op.record_with(smem_words=int(mask.sum()))
+
+    def _exec_sts(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        addrs = op.reads[0](self, warp).astype(np.int64)
+        values = op.reads[1](self, warp)
+        if mask.any():
+            self._smem_store(addrs[mask], values[mask], warp)
+        return op.record_with(is_store=True, smem_words=int(mask.sum()))
+
+    def _exec_ldgsts(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        mask = self._mask(warp, op)
+        gaddrs = op.reads[0](self, warp).astype(np.int64)
+        saddrs = op.reads[1](self, warp).astype(np.int64)
+        sectors: tuple[int, ...] = ()
+        if mask.any():
+            self._smem_store(
+                saddrs[mask], self.memory.load(gaddrs[mask]), warp
+            )
+            sectors = sectors_of(gaddrs[mask])
+        return op.record_with(
+            sectors=sectors, is_store=True, smem_words=int(mask.sum())
         )
 
-    def _alu(self, warp: _WarpState, instr: Instruction, mask: np.ndarray):
-        opcode = instr.opcode
-        vals = [self._value(warp, s) for s in instr.srcs]
-        if opcode in (Opcode.IADD, Opcode.FADD):
-            return vals[0] + vals[1]
-        if opcode in (Opcode.IMUL, Opcode.FMUL):
-            return vals[0] * vals[1]
-        if opcode is Opcode.IDIV:
-            divisor = np.where(vals[1] != 0, vals[1], 1.0)
-            return np.floor(vals[0] / divisor)
-        if opcode in (Opcode.IMAD, Opcode.FFMA, Opcode.HMMA):
-            return vals[0] * vals[1] + vals[2]
-        if opcode is Opcode.SHL:
-            return np.floor(vals[0]) * (2.0 ** np.floor(vals[1]))
-        if opcode is Opcode.SHR:
-            return np.floor(np.floor(vals[0]) / (2.0 ** np.floor(vals[1])))
-        if opcode is Opcode.AND:
-            return (
-                vals[0].astype(np.int64) & vals[1].astype(np.int64)
-            ).astype(np.float64)
-        if opcode is Opcode.OR:
-            return (
-                vals[0].astype(np.int64) | vals[1].astype(np.int64)
-            ).astype(np.float64)
-        if opcode is Opcode.MIN:
-            return np.minimum(vals[0], vals[1])
-        if opcode is Opcode.MAX:
-            return np.maximum(vals[0], vals[1])
-        if opcode is Opcode.MOV:
-            return vals[0].copy()
-        if opcode is Opcode.SEL:
-            return np.where(vals[0].astype(bool), vals[1], vals[2])
-        if opcode is Opcode.ISETP:
-            cmp = _CMP_FUNCS[instr.attrs["cmp"]]
-            return cmp(vals[0], vals[1]).astype(np.float64)
-        if opcode is Opcode.REDUX:
-            return np.full(self.launch.warp_width, float(vals[0].sum()))
-        if opcode is Opcode.FRCP:
-            with np.errstate(divide="ignore"):
-                return np.where(vals[0] != 0, 1.0 / vals[0], 0.0)
-        if opcode is Opcode.NOP:
-            return None
-        raise ExecutionError(f"unimplemented opcode {opcode}")
-
     def _writeback(
-        self,
-        warp: _WarpState,
-        instr: Instruction,
-        result: np.ndarray | None,
-        mask: np.ndarray,
+        self, warp: _WarpState, op: _Op, result: Vec, mask: Vec
     ) -> None:
-        if result is None or instr.dst is None:
-            return
-        if isinstance(instr.dst, QueueRef):
-            self._queue(instr.dst.queue_id, warp.stage_warp_id).push(result)
-            if self._san is not None:
-                self._san.on_push(
-                    warp.warp_id, instr.dst.queue_id, warp.stage_warp_id
-                )
-            return
-        flat = _flat_reg(instr.dst)
-        if mask.all():
-            warp.regs[flat] = np.asarray(result, dtype=np.float64)
-        else:
-            old = warp.regs.get(flat, self._broadcast(0.0))
-            warp.regs[flat] = np.where(mask, result, old)
+        if op.push is not None:
+            self._push(warp, op.push, result)
+        elif op.dst is not None:
+            if op.guard is None or mask.all():
+                warp.regs[op.dst] = np.asarray(result, dtype=np.float64)
+            else:
+                old = warp.regs.get(op.dst, self._code.zeros)
+                warp.regs[op.dst] = np.where(mask, result, old)
 
     # -- shared memory ------------------------------------------------------
 
-    def _smem_load(
-        self, addrs: np.ndarray, warp: _WarpState | None = None
-    ) -> np.ndarray:
+    def _smem_load(self, addrs: Vec, warp: _WarpState) -> Vec:
         if addrs.min(initial=0) < 0 or addrs.max(initial=0) >= len(self.smem):
             raise ExecutionError(
                 f"SMEM load out of bounds in {self.program.name!r}: "
                 f"{addrs.min()}..{addrs.max()} (smem={len(self.smem)})"
             )
-        if self._san is not None and warp is not None:
+        if self._san is not None:
             self._san.on_read(
                 warp.warp_id, self._san.block_stage[warp.block_idx], addrs
             )
         return self.smem[addrs]
 
-    def _smem_store(
-        self,
-        addrs: np.ndarray,
-        values: np.ndarray,
-        warp: _WarpState | None = None,
-    ) -> None:
+    def _smem_store(self, addrs: Vec, values: Vec, warp: _WarpState) -> None:
         if addrs.min(initial=0) < 0 or addrs.max(initial=0) >= len(self.smem):
             raise ExecutionError(
                 f"SMEM store out of bounds in {self.program.name!r}: "
                 f"{addrs.min()}..{addrs.max()} (smem={len(self.smem)})"
             )
-        if self._san is not None and warp is not None:
+        if self._san is not None:
             self._san.on_write(
                 warp.warp_id, self._san.block_stage[warp.block_idx], addrs
             )
@@ -535,26 +644,17 @@ class FunctionalMachine:
 
     # -- TMA offload --------------------------------------------------------
 
-    def _exec_tma(self, warp: _WarpState, instr: Instruction) -> None:
-        if instr.opcode is Opcode.TMA_TILE:
-            job = self._tma_tile(warp, instr)
-        elif instr.opcode is Opcode.TMA_STREAM:
-            job = self._tma_stream(warp, instr)
-        else:
-            job = self._tma_gather(warp, instr)
-        self._record(warp, instr, tma_job=job)
-
-    def _tma_tile(self, warp: _WarpState, instr: Instruction) -> dict[str, Any]:
-        gbase = self._uniform_int(warp, instr.srcs[0])
-        sbase = self._uniform_int(warp, instr.srcs[1])
-        count = self._uniform_int(warp, instr.srcs[2])
+    def _exec_tma_tile(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        gbase = self._uniform_int(warp, op, 0)
+        sbase = self._uniform_int(warp, op, 1)
+        count = self._uniform_int(warp, op, 2)
         addrs = np.arange(gbase, gbase + count, dtype=np.int64)
         self._smem_store(
             np.arange(sbase, sbase + count, dtype=np.int64),
             self.memory.load(addrs),
             warp,
         )
-        barrier_id = instr.attrs.get("barrier")
+        barrier_id = op.instr.attrs.get("barrier")
         if barrier_id:
             self._aw_barrier(barrier_id).arrive()
             if self._san is not None:
@@ -563,7 +663,7 @@ class FunctionalMachine:
         vector_sectors = [
             sectors_of(addrs[k : k + width]) for k in range(0, count, width)
         ]
-        return {
+        return op.record_with(tma_job={
             "mode": "tile",
             "num_vectors": len(vector_sectors),
             "vector_sectors": vector_sectors,
@@ -571,54 +671,55 @@ class FunctionalMachine:
             "smem_words": count,
             "barrier": barrier_id,
             "queue": None,
-        }
+        })
 
-    def _tma_stream(self, warp: _WarpState, instr: Instruction) -> dict[str, Any]:
-        if not isinstance(instr.dst, QueueRef):
+    def _exec_tma_stream(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        if op.push is None:
             raise ExecutionError("TMA.STREAM requires a queue destination")
-        base_vec = self._value(warp, instr.srcs[0]).astype(np.int64)
-        count = self._uniform_int(warp, instr.srcs[1])
-        if len(instr.srcs) > 2:
-            vec_stride = self._uniform_int(warp, instr.srcs[2])
+        base_vec = op.reads[0](self, warp).astype(np.int64)
+        count = self._uniform_int(warp, op, 1)
+        if len(op.reads) > 2:
+            vec_stride = self._uniform_int(warp, op, 2)
         else:
-            vec_stride = int(instr.attrs.get("vec_stride", self.launch.warp_width))
-        queue = self._queue(instr.dst.queue_id, warp.stage_warp_id)
+            vec_stride = int(
+                op.instr.attrs.get("vec_stride", self.launch.warp_width)
+            )
+        # Created before the first push, even for zero vectors: queue
+        # creation order fixes the trace's queue_lengths order.
+        self._queue(op.push, warp.stage_warp_id)
         vector_sectors = []
         for k in range(count):
             addrs = base_vec + k * vec_stride
-            queue.push(self.memory.load(addrs))
-            if self._san is not None:
-                self._san.on_push(
-                    warp.warp_id, instr.dst.queue_id, warp.stage_warp_id
-                )
+            self._push(warp, op.push, self.memory.load(addrs))
             vector_sectors.append(sectors_of(addrs))
-        return {
+        return op.record_with(tma_job={
             "mode": "stream",
             "num_vectors": count,
             "vector_sectors": vector_sectors,
             "total_sectors": sum(len(v) for v in vector_sectors),
             "smem_words": 0,
             "barrier": None,
-            "queue": instr.dst.queue_id,
-        }
+            "queue": op.push,
+        })
 
-    def _tma_gather(self, warp: _WarpState, instr: Instruction) -> dict[str, Any]:
-        idx_base = self._value(warp, instr.srcs[0]).astype(np.int64)
-        data_base = self._value(warp, instr.srcs[1]).astype(np.int64)
-        count = self._uniform_int(warp, instr.srcs[2])
-        if len(instr.srcs) > 3:
-            idx_stride = self._uniform_int(warp, instr.srcs[3])
-        else:
-            idx_stride = int(instr.attrs.get("idx_stride", self.launch.warp_width))
-        dest = instr.attrs.get("dest", "rfq")
+    def _exec_tma_gather(self, warp: _WarpState, op: _Op) -> DynamicInstr:
+        idx_base = op.reads[0](self, warp).astype(np.int64)
+        data_base = op.reads[1](self, warp).astype(np.int64)
+        count = self._uniform_int(warp, op, 2)
+        attrs = op.instr.attrs
         width = self.launch.warp_width
-        lanes = np.arange(width, dtype=np.int64)
-        queue = None
-        if dest == "rfq":
-            if not isinstance(instr.dst, QueueRef):
+        if len(op.reads) > 3:
+            idx_stride = self._uniform_int(warp, op, 3)
+        else:
+            idx_stride = int(attrs.get("idx_stride", width))
+        queue_id = None
+        if attrs.get("dest", "rfq") == "rfq":
+            if op.push is None:
                 raise ExecutionError("TMA.GATHER dest=rfq needs a queue dst")
-            queue = self._queue(instr.dst.queue_id, warp.stage_warp_id)
-        sbase = int(instr.attrs.get("sbase", 0))
+            queue_id = op.push
+            self._queue(queue_id, warp.stage_warp_id)  # as in TMA.STREAM
+        lanes = np.arange(width, dtype=np.int64)
+        sbase = int(attrs.get("sbase", 0))
         vector_sectors = []
         data_vector_sectors = []
         smem_words = 0
@@ -627,12 +728,8 @@ class FunctionalMachine:
             indices = self.memory.load(idx_addrs).astype(np.int64)
             data_addrs = data_base + indices
             data = self.memory.load(data_addrs)
-            if queue is not None:
-                queue.push(data)
-                if self._san is not None:
-                    self._san.on_push(
-                        warp.warp_id, queue.queue_id, warp.stage_warp_id
-                    )
+            if queue_id is not None:
+                self._push(warp, queue_id, data)
             else:
                 self._smem_store(sbase + k * width + lanes, data, warp)
                 smem_words += width
@@ -642,58 +739,18 @@ class FunctionalMachine:
             data_vector_sectors.append(sectors_of(data_addrs))
         total = sum(len(v) for v in vector_sectors)
         total += sum(len(v) for v in data_vector_sectors)
-        return {
+        return op.record_with(tma_job={
             "mode": "gather",
             "num_vectors": count,
             "vector_sectors": vector_sectors,
             "data_vector_sectors": data_vector_sectors,
             "total_sectors": total,
             "smem_words": smem_words,
-            "barrier": instr.attrs.get("barrier"),
-            "queue": queue.queue_id if queue is not None else None,
-        }
+            "barrier": attrs.get("barrier"),
+            "queue": queue_id,
+        })
 
-    # -- trace emission -------------------------------------------------
-
-    def _record(
-        self,
-        warp: _WarpState,
-        instr: Instruction,
-        sectors: tuple[int, ...] = (),
-        smem_words: int = 0,
-        is_store: bool = False,
-        tma_job: dict[str, Any] | None = None,
-    ) -> None:
-        if warp.trace is None:
-            return
-        dst_regs: tuple[int, ...] = ()
-        if isinstance(instr.dst, (Register, Predicate)):
-            dst_regs = (_flat_reg(instr.dst),)
-        src_regs = tuple(
-            _flat_reg(op)
-            for op in instr.srcs
-            if isinstance(op, (Register, Predicate))
-        )
-        if instr.guard is not None:
-            src_regs = src_regs + (_flat_reg(instr.guard),)
-        queue_push = instr.dst.queue_id if isinstance(instr.dst, QueueRef) else None
-        pops = instr.queue_pops()
-        warp.trace.instrs.append(
-            DynamicInstr(
-                opcode=instr.opcode,
-                unit=instr.info.unit,
-                category=instr.category,
-                dst_regs=dst_regs,
-                src_regs=src_regs,
-                queue_push=queue_push,
-                queue_pop=pops[0].queue_id if pops else None,
-                barrier_id=instr.barrier_id,
-                sectors=sectors,
-                is_store=is_store,
-                smem_words=smem_words,
-                tma_job=tma_job,
-            )
-        )
+    # -- trace assembly -------------------------------------------------
 
     def _aggregate_queue_lengths(self) -> dict[int, int]:
         totals: dict[int, int] = {}
@@ -702,7 +759,7 @@ class FunctionalMachine:
         return totals
 
     def _build_trace(self) -> KernelTrace:
-        trace = KernelTrace(
+        return KernelTrace(
             kernel_name=self.program.name,
             num_warps=self.launch.num_warps,
             warp_width=self.launch.warp_width,
@@ -712,10 +769,31 @@ class FunctionalMachine:
                 bid: b.arrivals for bid, b in self._aw_barriers.items()
             },
             tb_spec=self.program.tb_spec,
-            program_registers=self.program.register_count(),
+            program_registers=self._code.register_count,
             smem_words=self.program.smem_words,
         )
-        return trace
+
+
+_M = FunctionalMachine
+_HANDLERS: dict[
+    Opcode, Callable[[FunctionalMachine, _WarpState, _Op], DynamicInstr]
+]
+_HANDLERS = {
+    **{opcode: _M._exec_alu for opcode in (*_ALU, Opcode.ISETP, Opcode.REDUX)},
+    Opcode.BRA: _M._exec_branch,
+    Opcode.EXIT: _M._exec_exit,
+    Opcode.BAR_ARRIVE: _M._exec_arrive,
+    Opcode.BAR_WAIT: _M._exec_wait,
+    Opcode.BAR_SYNC: _M._exec_sync,
+    Opcode.LDG: _M._exec_ldg,
+    Opcode.STG: _M._exec_stg,
+    Opcode.LDS: _M._exec_lds,
+    Opcode.STS: _M._exec_sts,
+    Opcode.LDGSTS: _M._exec_ldgsts,
+    Opcode.TMA_TILE: _M._exec_tma_tile,
+    Opcode.TMA_STREAM: _M._exec_tma_stream,
+    Opcode.TMA_GATHER: _M._exec_tma_gather,
+}
 
 
 @dataclass
@@ -735,6 +813,7 @@ def run_kernel(
     sanitize: bool = False,
 ) -> ExecutionResult:
     """Functionally execute every thread block of a launch (serially)."""
+    code = _Code(program, launch.warp_width)
     traces = []
     races: list[SanitizerRace] = []
     for tb_id in range(launch.num_thread_blocks):
@@ -745,6 +824,7 @@ def run_kernel(
             tb_id=tb_id,
             collect_trace=collect_trace,
             sanitize=sanitize,
+            code=code,
         )
         traces.append(machine.run())
         if machine._san is not None:

@@ -12,9 +12,12 @@ Register identifiers in traces are flat integers: architectural register
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.isa.opcodes import FuncUnit, InstrCategory, Opcode
+
+if TYPE_CHECKING:
+    from repro.core.specs import ThreadBlockSpec
 
 PRED_BASE = 1 << 16
 
@@ -37,6 +40,10 @@ class DynamicInstr:
         is_store: True for global stores (no register writeback to wait on).
         smem_words: Shared-memory words moved (SMEM bandwidth model).
         tma_job: Offload descriptor for TMA configuration instructions.
+
+    Records are never mutated once emitted: the functional machine
+    appends one shared record for every execution of an instruction
+    whose record has no per-execution field.
     """
 
     opcode: Opcode
@@ -123,13 +130,22 @@ class KernelTrace:
 
 TRACE_FORMAT_VERSION = 1
 
+_OPCODES = {m.value: m for m in Opcode}
+_UNITS = {m.value: m for m in FuncUnit}
+_CATEGORIES = {m.value: m for m in InstrCategory}
 
-def encode_traces(traces: list[KernelTrace]) -> list[dict]:
-    """Encode kernel traces as JSON-compatible primitives."""
-    return [_encode_kernel_trace(t) for t in traces]
+
+def encode_traces(traces: list[KernelTrace]) -> list[dict[str, Any]]:
+    """Encode kernel traces as JSON-compatible primitives.
+
+    Tuples stand in for JSON arrays (``json`` emits both alike).  A
+    record shared by several dynamic instructions is encoded once.
+    """
+    rows: dict[int, list[Any]] = {}
+    return [_encode_kernel_trace(t, rows) for t in traces]
 
 
-def decode_traces(payload: list[dict]) -> list[KernelTrace]:
+def decode_traces(payload: list[dict[str, Any]]) -> list[KernelTrace]:
     """Rebuild kernel traces from :func:`encode_traces` output.
 
     Raises ``KeyError``/``ValueError``/``TypeError`` on malformed
@@ -138,7 +154,9 @@ def decode_traces(payload: list[dict]) -> list[KernelTrace]:
     return [_decode_kernel_trace(t) for t in payload]
 
 
-def _encode_kernel_trace(trace: KernelTrace) -> dict:
+def _encode_kernel_trace(
+    trace: KernelTrace, rows: dict[int, list[Any]]
+) -> dict[str, Any]:
     return {
         "kernel_name": trace.kernel_name,
         "num_warps": trace.num_warps,
@@ -147,7 +165,7 @@ def _encode_kernel_trace(trace: KernelTrace) -> dict:
             {
                 "warp_id": w.warp_id,
                 "pipe_stage_id": w.pipe_stage_id,
-                "instrs": [_encode_instr(i) for i in w.instrs],
+                "instrs": [_encode_instr(i, rows) for i in w.instrs],
             }
             for w in trace.warps
         ],
@@ -159,7 +177,7 @@ def _encode_kernel_trace(trace: KernelTrace) -> dict:
     }
 
 
-def _decode_kernel_trace(data: dict) -> KernelTrace:
+def _decode_kernel_trace(data: dict[str, Any]) -> KernelTrace:
     return KernelTrace(
         kernel_name=data["kernel_name"],
         num_warps=data["num_warps"],
@@ -180,59 +198,55 @@ def _decode_kernel_trace(data: dict) -> KernelTrace:
     )
 
 
-def _encode_instr(instr: DynamicInstr) -> list:
-    # Positional encoding keeps large payloads compact.
-    return [
-        instr.opcode.value,
-        instr.unit.value,
-        instr.category.value,
-        list(instr.dst_regs),
-        list(instr.src_regs),
-        instr.queue_push,
-        instr.queue_pop,
-        instr.barrier_id,
-        list(instr.sectors),
-        int(instr.is_store),
-        instr.smem_words,
-        _encode_tma_job(instr.tma_job),
-    ]
+def _encode_instr(
+    instr: DynamicInstr, rows: dict[int, list[Any]]
+) -> list[Any]:
+    # Positional encoding keeps large payloads compact; ``tma_job``
+    # sector lists hold tuples, which encode as arrays.  ``rows`` is
+    # keyed by identity, which is sound only while ``instr`` is alive:
+    # every key belongs to a trace of the one ``encode_traces`` call.
+    row = rows.get(id(instr))
+    if row is None:
+        row = rows[id(instr)] = [
+            instr.opcode.value,
+            instr.unit.value,
+            instr.category.value,
+            instr.dst_regs,
+            instr.src_regs,
+            instr.queue_push,
+            instr.queue_pop,
+            instr.barrier_id,
+            instr.sectors,
+            int(instr.is_store),
+            instr.smem_words,
+            instr.tma_job,
+        ]
+    return row
 
 
-def _decode_instr(data: list) -> DynamicInstr:
+def _decode_instr(data: list[Any]) -> DynamicInstr:
     (opcode, unit, category, dst_regs, src_regs, queue_push, queue_pop,
      barrier_id, sectors, is_store, smem_words, tma_job) = data
     return DynamicInstr(
-        opcode=Opcode(opcode),
-        unit=FuncUnit(unit),
-        category=InstrCategory(category),
-        dst_regs=tuple(dst_regs),
-        src_regs=tuple(src_regs),
-        queue_push=queue_push,
-        queue_pop=queue_pop,
-        barrier_id=barrier_id,
-        sectors=tuple(sectors),
-        is_store=bool(is_store),
-        smem_words=smem_words,
-        tma_job=_decode_tma_job(tma_job),
+        _OPCODES[opcode],
+        _UNITS[unit],
+        _CATEGORIES[category],
+        tuple(dst_regs),
+        tuple(src_regs),
+        queue_push,
+        queue_pop,
+        barrier_id,
+        tuple(sectors),
+        bool(is_store),
+        smem_words,
+        None if tma_job is None else _decode_tma_job(tma_job),
     )
 
 
 _TMA_SECTOR_KEYS = ("vector_sectors", "data_vector_sectors")
 
 
-def _encode_tma_job(job: dict[str, Any] | None) -> dict | None:
-    if job is None:
-        return None
-    encoded = dict(job)
-    for key in _TMA_SECTOR_KEYS:
-        if key in encoded:
-            encoded[key] = [list(v) for v in encoded[key]]
-    return encoded
-
-
-def _decode_tma_job(job: dict | None) -> dict[str, Any] | None:
-    if job is None:
-        return None
+def _decode_tma_job(job: dict[str, Any]) -> dict[str, Any]:
     decoded = dict(job)
     for key in _TMA_SECTOR_KEYS:
         if key in decoded:
@@ -240,9 +254,10 @@ def _decode_tma_job(job: dict | None) -> dict[str, Any] | None:
     return decoded
 
 
-def _encode_tb_spec(spec) -> dict | None:
-    if spec is None:
+def _encode_tb_spec(tb_spec: object | None) -> dict[str, Any] | None:
+    if tb_spec is None:
         return None
+    spec = cast("ThreadBlockSpec", tb_spec)
     return {
         "num_stages": spec.num_stages,
         "warps_per_stage": [list(ws) for ws in spec.warps_per_stage],
@@ -262,7 +277,7 @@ def _encode_tb_spec(spec) -> dict | None:
     }
 
 
-def _decode_tb_spec(data: dict | None):
+def _decode_tb_spec(data: dict[str, Any] | None) -> ThreadBlockSpec | None:
     if data is None:
         return None
     from repro.core.specs import NamedQueueSpec, ThreadBlockSpec

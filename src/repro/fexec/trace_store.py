@@ -9,9 +9,11 @@ work, and the cache directory can be shipped as a CI artifact.
 
 Layout: one gzip-compressed JSON file per entry,
 ``<cache_dir>/<digest>.json.gz``, wrapped in a versioned envelope.  Any
-read failure — missing file, corrupt gzip/JSON, format-version or key
-mismatch — is treated as a miss so a bad cache can only cost time,
-never correctness.
+read failure — missing file, corrupt gzip/deflate/JSON, format-version
+or key mismatch — is treated as a miss so a bad cache can only cost
+time, never correctness.  Files are byte-reproducible: the envelope is
+compact JSON and the gzip header carries no timestamp, so the same
+traces always produce the same file.
 
 Environment knobs:
 
@@ -24,11 +26,14 @@ Environment knobs:
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 import tempfile
 import time
+import zlib
 from pathlib import Path
+from typing import Any
 
 from repro.fexec.trace import (
     TRACE_FORMAT_VERSION,
@@ -91,7 +96,7 @@ class TraceStore:
 
     # -- read/write ---------------------------------------------------------
 
-    def load(self, key: str) -> dict | None:
+    def load(self, key: str) -> dict[str, Any] | None:
         """The stored entry for ``key``, or ``None`` on any failure.
 
         Returns the payload dict with ``traces`` already decoded to
@@ -101,8 +106,8 @@ class TraceStore:
         telemetry = TELEMETRY.enabled
         started = time.perf_counter() if telemetry else 0.0
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                envelope = json.load(fh)
+            data = path.read_bytes()
+            envelope = json.loads(gzip.decompress(data))
             if not isinstance(envelope, dict):
                 return None
             if envelope.get("format") != TRACE_FORMAT_VERSION:
@@ -112,16 +117,19 @@ class TraceStore:
             payload = dict(envelope.get("payload") or {})
             payload["traces"] = decode_traces(payload.get("traces") or [])
             if telemetry:
-                _tel_io("load", "hit", path.stat().st_size,
+                _tel_io("load", "hit", len(data),
                         time.perf_counter() - started)
             return payload
-        except (OSError, EOFError, ValueError, KeyError, TypeError):
+        except (OSError, EOFError, zlib.error, ValueError, KeyError,
+                TypeError):
             if telemetry:
                 _tel_io("load", "miss", 0,
                         time.perf_counter() - started)
             return None
 
-    def save(self, key: str, traces: list[KernelTrace], **meta) -> bool:
+    def save(
+        self, key: str, traces: list[KernelTrace], **meta: Any
+    ) -> bool:
         """Persist ``traces`` (plus ``meta``) under ``key``.
 
         The write is atomic (temp file + rename) so concurrent workers
@@ -135,15 +143,24 @@ class TraceStore:
         }
         telemetry = TELEMETRY.enabled
         started = time.perf_counter() if telemetry else 0.0
+        text = json.dumps(envelope, separators=(",", ":"))
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as gz:
+            gz.write(text.encode("utf-8"))
+            # The sync flush gzip's text-mode writer issues on close:
+            # with it, a file matches one written through
+            # ``gzip.open(path, "wt")`` byte for byte, bar the header
+            # timestamp, so store sizes stay comparable across versions.
+            gz.flush()
+        data = buffer.getvalue()
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.cache_dir, suffix=".tmp"
             )
             try:
-                with os.fdopen(fd, "wb") as raw:
-                    with gzip.open(raw, "wt", encoding="utf-8") as fh:
-                        json.dump(envelope, fh, separators=(",", ":"))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
                 os.replace(tmp_name, self._path(key))
             except BaseException:
                 try:
@@ -152,8 +169,7 @@ class TraceStore:
                     pass
                 raise
             if telemetry:
-                _tel_io("save", "written",
-                        self._path(key).stat().st_size,
+                _tel_io("save", "written", len(data),
                         time.perf_counter() - started)
             return True
         except OSError:

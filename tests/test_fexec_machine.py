@@ -88,6 +88,28 @@ def test_divergent_branch_raises():
         _run_single(body, width=4)
 
 
+def test_tma_count_must_be_warp_uniform():
+    def body(b, out):
+        b.alloc_smem("buf", 16)
+        lane = b.special(SpecialReg.LANE_ID)
+        b.emit(Opcode.TMA_TILE, srcs=[out, 0, lane])
+
+    with pytest.raises(ExecutionError, match="warp-uniform"):
+        _run_single(body)
+
+
+def test_dynamic_instruction_cap_raises(monkeypatch):
+    monkeypatch.setattr("repro.fexec.machine._MAX_DYNAMIC_INSTRS", 50)
+
+    def body(b, out):
+        b.label("spin")
+        b.bra("spin")
+        b.label("never")
+
+    with pytest.raises(ExecutionError, match="instruction cap"):
+        _run_single(body)
+
+
 def test_smem_store_load_roundtrip():
     img = MemoryImage(1 << 10)
     out = img.alloc("out", 8)

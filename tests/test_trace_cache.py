@@ -3,12 +3,13 @@
 Covers the two-tier :class:`TraceCache`: structurally identical kernels
 must share one entry regardless of object identity, any structural
 mutation must produce a distinct key, and the persistent
-:class:`TraceStore` tier must round-trip traces bit-identically while
-degrading gracefully (corrupt files, version mismatches) to plain
-regeneration.
+:class:`TraceStore` tier must round-trip traces bit-identically, write
+byte-reproducible files, and degrade gracefully (corrupt files, version
+mismatches) to plain regeneration.
 """
 
 import gzip
+import io
 import json
 from dataclasses import replace
 
@@ -18,6 +19,8 @@ import pytest
 from repro.experiments.configs import baseline_config, wasp_gpu_config
 from repro.experiments.runner import TraceCache, run_kernel
 from repro.fexec import LaunchConfig, MemoryImage
+from repro.fexec import run_kernel as run_functional
+from repro.fexec.trace import encode_traces
 from repro.fexec.trace_store import TraceStore, cache_enabled
 from repro.isa import ProgramBuilder, SpecialReg
 from repro.sim.config import baseline_a100
@@ -190,6 +193,23 @@ def test_corrupted_entry_falls_back_to_regeneration(store):
     )
 
 
+def test_corrupt_deflate_body_is_a_miss(store):
+    # A valid gzip header over a damaged deflate stream fails inside
+    # zlib, not in the gzip framing; it must still read as a miss.
+    kernel = _tiny_kernel()
+    TraceCache(store=store).original(kernel)
+    path = _single_entry_path(store)
+    raw = bytearray(path.read_bytes())
+    raw[10:-8] = bytes(b ^ 0xFF for b in raw[10:-8])
+    path.write_bytes(bytes(raw))
+
+    assert store.load(path.name.removesuffix(".json.gz")) is None
+    fresh = TraceCache(store=store)
+    fresh.original(kernel)
+    assert fresh.stats.disk_hits == 0
+    assert fresh.stats.generations == 1
+
+
 def test_version_mismatch_falls_back_to_regeneration(store):
     kernel = _tiny_kernel()
     TraceCache(store=store).original(kernel)
@@ -215,6 +235,65 @@ def test_key_mismatch_is_a_miss(store):
     # The real key still loads fine.
     key = path.name.removesuffix(".json.gz")
     assert store.load(key) is not None
+
+
+# -- on-disk bytes -----------------------------------------------------------
+
+
+def _tiny_traces():
+    kernel = _tiny_kernel()
+    return run_functional(
+        kernel.program, kernel.image_factory(), kernel.launch
+    ).traces
+
+
+def test_store_file_is_compact_format_1_json(store):
+    traces = _tiny_traces()
+    assert store.save("k" * 64, traces, num_stages=2)
+    envelope = {
+        "format": 1,
+        "key": "k" * 64,
+        "payload": {"traces": encode_traces(traces), "num_stages": 2},
+    }
+    expected = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    assert gzip.decompress(store._path("k" * 64).read_bytes()) == expected
+
+
+def test_store_files_are_byte_reproducible(tmp_path):
+    traces = _tiny_traces()
+    first, second = TraceStore(tmp_path / "a"), TraceStore(tmp_path / "b")
+    assert first.save("k" * 64, traces)
+    assert second.save("k" * 64, traces)
+    data = first._path("k" * 64).read_bytes()
+    assert data == second._path("k" * 64).read_bytes()
+    # A zero header timestamp (RFC 1952 MTIME, bytes 4-7) keeps the
+    # bytes equal across saves made at different times.
+    assert data[4:8] == b"\0\0\0\0"
+
+
+def test_entry_from_the_streaming_writer_still_loads(store):
+    # Stores written before the one-shot writer streamed json.dump
+    # through a gzip text wrapper; their entries stay valid hits.
+    traces = _tiny_traces()
+    key = "s" * 64
+    envelope = {
+        "format": 1,
+        "key": key,
+        "payload": {"traces": encode_traces(traces)},
+    }
+    raw = io.BytesIO()
+    with gzip.open(raw, "wt", encoding="utf-8") as fh:
+        json.dump(envelope, fh, separators=(",", ":"))
+    streamed = raw.getvalue()
+    store.cache_dir.mkdir(parents=True)
+    store._path(key).write_bytes(streamed)
+    loaded = store.load(key)
+    assert loaded is not None
+    assert encode_traces(loaded["traces"]) == encode_traces(traces)
+    # Rewriting the entry changes only the header's timestamp field.
+    assert store.save(key, traces)
+    rewritten = store._path(key).read_bytes()
+    assert rewritten[:4] + rewritten[8:] == streamed[:4] + streamed[8:]
 
 
 def test_store_clear_and_count(store):
