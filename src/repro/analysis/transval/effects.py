@@ -64,10 +64,10 @@ from repro.analysis.transval.expr import (
     cmp,
     contains_marker,
     ite,
+    leaves,
     mul,
     negate,
     op2,
-    rewrite,
     unary,
     warpsum,
 )
@@ -553,15 +553,11 @@ class _SectionWalker:
         """Marker tags ``e`` depends on, looking through nested loop
         tables (RecPhi/RecExit nodes are leaves in the expr tree)."""
         tags: set[str] = set()
-
-        def fn(node: Expr) -> Expr:
-            if isinstance(node, Marker):
-                tags.add(node.tag)
-            elif isinstance(node, (RecPhi, RecExit)):
-                tags.update(self._loop_tags.get(node.loop, ()))
-            return node
-
-        rewrite(e, fn)
+        for leaf in leaves(e):
+            if isinstance(leaf, Marker):
+                tags.add(leaf.tag)
+            elif isinstance(leaf, (RecPhi, RecExit)):
+                tags.update(self._loop_tags.get(leaf.loop, ()))
         return tags
 
     def _note_read(self, e: Expr) -> None:
@@ -1008,27 +1004,9 @@ class _SectionWalker:
         return SLoad(family, canon, fallback_writes)
 
 
-def _marker_tags(e: Expr) -> set[str]:
-    tags: set[str] = set()
-
-    def fn(node: Expr) -> Expr:
-        if isinstance(node, Marker):
-            tags.add(node.tag)
-        return node
-
-    rewrite(e, fn)
-    return tags
-
-
 def _has_opaque(e: Expr) -> bool:
     """True if ``e`` contains a pass-1 opaque (``~pop``/``~lds`` Sym)."""
-    found = False
-
-    def fn(node: Expr) -> Expr:
-        nonlocal found
-        if isinstance(node, Sym) and node.name.startswith("~"):
-            found = True
-        return node
-
-    rewrite(e, fn)
-    return found
+    return any(
+        isinstance(leaf, Sym) and leaf.name.startswith("~")
+        for leaf in leaves(e)
+    )

@@ -15,6 +15,14 @@ floor/bit semantics (``shl``, ``idiv``, …) stays opaque but is folded
 exactly when all operands are constant, using the very same formulas as
 the functional executor.
 
+Each recursive node (``Op``, ``GLoad``, ``SLoad``) computes two facts
+once, on first use, and keeps them in fields that ``==``, ``hash``,
+``repr`` and pickling ignore: its structural sort key and its set of
+non-constant leaves.  Read-only questions (:func:`leaves`,
+:func:`walk`, :func:`contains_marker`, :func:`first_unknown`) never
+rebuild a tree, and :func:`rewrite` returns every subtree whose leaf
+set it cannot touch as is.
+
 Loop-carried structure is expressed with dedicated nodes:
 
 ``LoopIdx(loop)``
@@ -35,7 +43,8 @@ Loop-carried structure is expressed with dedicated nodes:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "Expr",
@@ -60,6 +69,8 @@ __all__ = [
     "warpsum",
     "subst_loop",
     "rewrite",
+    "leaves",
+    "walk",
     "contains_marker",
     "first_unknown",
     "stable_repr",
@@ -119,11 +130,21 @@ class Marker(Expr):
     tag: str
 
 
+def _cache() -> Any:
+    """A lazily filled node fact, invisible to ``==``/hash/repr."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True, slots=True)
 class GLoad(Expr):
     """A load from (initial) global memory at a symbolic address."""
 
     addr: "Expr"
+    _sort_key: tuple | None = _cache()
+    _leaves: frozenset["Expr"] | None = _cache()
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return GLoad, (self.addr,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,12 +160,22 @@ class SLoad(Expr):
     family: str
     addr: "Expr"
     writes: tuple[tuple["Expr", "Expr"], ...]
+    _sort_key: tuple | None = _cache()
+    _leaves: frozenset["Expr"] | None = _cache()
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return SLoad, (self.family, self.addr, self.writes)
 
 
 @dataclass(frozen=True, slots=True)
 class Op(Expr):
     op: str
     args: tuple["Expr", ...]
+    _sort_key: tuple | None = _cache()
+    _leaves: frozenset["Expr"] | None = _cache()
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return Op, (self.op, self.args)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,25 +183,35 @@ class Unknown(Expr):
     reason: str
 
 
-# -- ordering ------------------------------------------------------------
+# -- cached node facts ---------------------------------------------------
 
-_RANK = {
-    Const: 0,
-    Sym: 1,
-    LoopIdx: 2,
-    Trip: 3,
-    RecPhi: 4,
-    RecExit: 5,
-    Marker: 6,
-    GLoad: 7,
-    SLoad: 8,
-    Op: 9,
-    Unknown: 10,
-}
+_NODES = (Op, GLoad, SLoad)
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """Direct subexpressions, left to right (leaves have none)."""
+    if isinstance(e, Op):
+        return e.args
+    if isinstance(e, GLoad):
+        return (e.addr,)
+    if isinstance(e, SLoad):
+        return (e.addr,) + tuple(x for pair in e.writes for x in pair)
+    return ()
 
 
 def _key(e: Expr) -> tuple:
-    """Deterministic structural sort key."""
+    """Deterministic structural sort key, cached on recursive nodes."""
+    if isinstance(e, _NODES):
+        k = e._sort_key
+        if k is None:
+            if isinstance(e, Op):
+                k = (9, e.op, tuple(_key(a) for a in e.args))
+            elif isinstance(e, GLoad):
+                k = (7, _key(e.addr))
+            else:
+                k = (8, e.family, _key(e.addr), len(e.writes))
+            object.__setattr__(e, "_sort_key", k)
+        return k
     if isinstance(e, Const):
         return (0, e.value)
     if isinstance(e, Sym):
@@ -185,14 +226,38 @@ def _key(e: Expr) -> tuple:
         return (5, e.loop, e.slot)
     if isinstance(e, Marker):
         return (6, e.tag)
-    if isinstance(e, GLoad):
-        return (7, _key(e.addr))
-    if isinstance(e, SLoad):
-        return (8, e.family, _key(e.addr), len(e.writes))
-    if isinstance(e, Op):
-        return (9, e.op, tuple(_key(a) for a in e.args))
     assert isinstance(e, Unknown)
     return (10, e.reason)
+
+
+def leaves(e: Expr) -> frozenset[Expr]:
+    """The non-constant leaves of ``e`` (cached on recursive nodes)."""
+    if isinstance(e, _NODES):
+        found = e._leaves
+        if found is None:
+            sets = [leaves(c) for c in _children(e)]
+            # Share the largest child's set when the others add nothing:
+            # summaries keep these sets alive on every node.
+            found = max(sets, key=len)
+            merged = found.union(*sets)
+            if len(merged) != len(found):
+                found = merged
+            object.__setattr__(e, "_leaves", found)
+        return found
+    if isinstance(e, Const):
+        return frozenset()
+    return frozenset((e,))
+
+
+def walk(e: Expr) -> Iterator[Expr]:
+    """Every node of ``e``, parents before children and children left
+    to right.  Nothing is rebuilt; a shared subtree is visited once per
+    occurrence."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 _COMMUTATIVE = frozenset({"add", "mul", "and", "or", "min", "max", "eq", "ne"})
@@ -427,83 +492,73 @@ def warpsum(a: Expr) -> Expr:
 # -- rewriting -----------------------------------------------------------
 
 
-def rewrite(e: Expr, fn) -> Expr:
-    """Bottom-up rewrite through the normalizing constructors.
+def rewrite(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
+    """Substitute leaves through ``mapping`` and renormalize bottom-up.
 
-    ``fn(node)`` is applied to each *leaf-level* node after its children
-    have been rewritten; returning the node unchanged is the common
-    case.  Interior ``Op`` nodes are rebuilt via the smart constructors
-    so the result stays in normal form.
+    Interior nodes above a substituted leaf are rebuilt through the
+    smart constructors, so the result stays in normal form; a rebuilt
+    node that collapses to a leaf is looked up in ``mapping`` too.  A
+    subtree whose leaf set misses every key is returned as is, which is
+    exact because rebuilding a normalized tree is the identity.
     """
+    if leaves(e).isdisjoint(mapping):
+        return e
     if isinstance(e, Op):
-        args = [rewrite(a, fn) for a in e.args]
+        args = [rewrite(a, mapping) for a in e.args]
         if e.op == "add":
-            return fn(add(*args))
-        if e.op == "mul":
-            return fn(mul(*args))
-        if e.op == "ite":
-            return fn(ite(args[0], args[1], args[2]))
-        if e.op == "not":
-            return fn(negate(args[0]))
-        if e.op in ("warpsum", "frcp"):
-            built = unary(e.op, args[0]) if e.op == "frcp" else warpsum(args[0])
-            return fn(built)
-        if len(args) == 2 and e.op in _NEGATED_CMP:
-            return fn(cmp(e.op, args[0], args[1]))
-        if len(args) == 2:
-            return fn(op2(e.op, args[0], args[1]))
-        return fn(Op(e.op, tuple(args)))
-    if isinstance(e, GLoad):
-        return fn(GLoad(rewrite(e.addr, fn)))
-    if isinstance(e, SLoad):
-        return fn(SLoad(
+            built = add(*args)
+        elif e.op == "mul":
+            built = mul(*args)
+        elif e.op == "ite":
+            built = ite(args[0], args[1], args[2])
+        elif e.op == "not":
+            built = negate(args[0])
+        elif e.op == "frcp":
+            built = unary(e.op, args[0])
+        elif e.op == "warpsum":
+            built = warpsum(args[0])
+        elif len(args) == 2 and e.op in _NEGATED_CMP:
+            built = cmp(e.op, args[0], args[1])
+        elif len(args) == 2:
+            built = op2(e.op, args[0], args[1])
+        else:
+            built = Op(e.op, tuple(args))
+    elif isinstance(e, GLoad):
+        built = GLoad(rewrite(e.addr, mapping))
+    elif isinstance(e, SLoad):
+        built = SLoad(
             e.family,
-            rewrite(e.addr, fn),
+            rewrite(e.addr, mapping),
             tuple(
-                (rewrite(a, fn), rewrite(v, fn)) for a, v in e.writes
+                (rewrite(a, mapping), rewrite(v, mapping))
+                for a, v in e.writes
             ),
-        ))
-    return fn(e)
+        )
+    else:
+        return mapping.get(e, e)
+    if isinstance(built, _NODES):
+        return built
+    return mapping.get(built, built)
 
 
 def subst_loop(e: Expr, loop: str, repl: Expr) -> Expr:
     """Replace ``LoopIdx(loop)`` with ``repl`` and renormalize."""
-
-    def fn(node: Expr) -> Expr:
-        if isinstance(node, LoopIdx) and node.loop == loop:
-            return repl
-        return node
-
-    return rewrite(e, fn)
+    return rewrite(e, {LoopIdx(loop): repl})
 
 
 def contains_marker(e: Expr) -> bool:
-    found = False
-
-    def fn(node: Expr) -> Expr:
-        nonlocal found
-        if isinstance(node, Marker):
-            found = True
-        return node
-
-    rewrite(e, fn)
-    return found
+    return any(isinstance(leaf, Marker) for leaf in leaves(e))
 
 
 def first_unknown(e: Expr) -> Unknown | None:
-    """The first ``Unknown`` node in ``e`` (Unknowns absorb, so it is
-    usually ``e`` itself), or ``None``."""
-    if isinstance(e, Unknown):
-        return e
-    hit: list[Unknown] = []
-
-    def fn(node: Expr) -> Expr:
-        if isinstance(node, Unknown) and not hit:
-            hit.append(node)
-        return node
-
-    rewrite(e, fn)
-    return hit[0] if hit else None
+    """The leftmost ``Unknown`` node in ``e`` (Unknowns absorb, so it
+    is usually ``e`` itself), or ``None``."""
+    if not any(isinstance(leaf, Unknown) for leaf in leaves(e)):
+        return None
+    for node in walk(e):
+        if isinstance(node, Unknown):
+            return node
+    return None
 
 
 # -- display -------------------------------------------------------------

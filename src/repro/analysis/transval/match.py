@@ -41,10 +41,12 @@ from repro.analysis.transval.expr import (
     RecPhi,
     add,
     first_unknown,
+    leaves,
     mul,
     rewrite,
     stable_repr,
     subst_loop,
+    walk,
 )
 
 __all__ = ["MatchResult", "match_summaries"]
@@ -140,12 +142,9 @@ class _Matcher:
         load_bases: set[float] = set()
 
         def collect(expr: Expr) -> None:
-            def fn(node: Expr) -> Expr:
+            for node in walk(expr):
                 if isinstance(node, GLoad):
                     load_bases.add(_const_term(node.addr))
-                return node
-
-            rewrite(expr, fn)
 
         for eff in self.source.effects:
             collect(eff.addr)
@@ -224,16 +223,12 @@ class _Matcher:
         return components
 
     def _referenced_keys(self, info: LoopInfo) -> set[str]:
-        refs: set[str] = set()
-
-        def fn(node: Expr) -> Expr:
-            if isinstance(node, (RecPhi, RecExit)):
-                refs.add(node.loop)
-            return node
-
-        for e in self._loop_exprs(info):
-            rewrite(e, fn)
-        return refs
+        return {
+            leaf.loop
+            for e in self._loop_exprs(info)
+            for leaf in leaves(e)
+            if isinstance(leaf, (RecPhi, RecExit))
+        }
 
     def _loop_exprs(self, info: LoopInfo) -> list[Expr]:
         return (list(info.rec_inits)
@@ -340,22 +335,20 @@ class _Matcher:
         self, e: Expr, overlay: dict[str, dict[int, int] | None]
     ) -> Expr:
         """Map spec-side recurrence nodes into the source frame."""
-
-        def fn(node: Expr) -> Expr:
-            if isinstance(node, (RecPhi, RecExit)):
-                info = self.spec.loops.get(node.loop)
-                if info is None:
-                    return node  # already in the source frame
-                sigma = overlay.get(node.loop, self.sigma.get(node.loop))
-                if sigma is None or node.slot not in sigma:
-                    # Unmatched recurrence: poison comparisons that
-                    # depend on it by leaving the spec-side key intact.
-                    return node
-                cls = RecPhi if isinstance(node, RecPhi) else RecExit
-                return cls(info.base, sigma[node.slot])
-            return node
-
-        return rewrite(e, fn)
+        mapping: dict[Expr, Expr] = {}
+        for leaf in leaves(e):
+            if not isinstance(leaf, (RecPhi, RecExit)):
+                continue
+            info = self.spec.loops.get(leaf.loop)
+            if info is None:
+                continue  # already in the source frame
+            sigma = overlay.get(leaf.loop, self.sigma.get(leaf.loop))
+            if sigma is None or leaf.slot not in sigma:
+                # Unmatched recurrence: poison comparisons that depend
+                # on it by leaving the spec-side key intact.
+                continue
+            mapping[leaf] = type(leaf)(info.base, sigma[leaf.slot])
+        return rewrite(e, mapping)
 
     def _equiv(
         self,

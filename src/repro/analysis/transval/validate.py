@@ -128,11 +128,13 @@ def validate_programs(
 
         if specialized_output:
             report.extend(_ordering_diagnostics(facts))
-            src_sum = summarize_program(source, side="source")
-            spec_sum = summarize_program(
-                specialized, side="specialized", facts=facts
-            )
-            res = match_summaries(src_sum, spec_sum)
+            with span("transval", "summarize"):
+                src_sum = summarize_program(source, side="source")
+                spec_sum = summarize_program(
+                    specialized, side="specialized", facts=facts
+                )
+            with span("transval", "match"):
+                res = match_summaries(src_sum, spec_sum)
             report.extend(res.diagnostics)
             matched = res.matched_stores
             n_src = res.source_stores

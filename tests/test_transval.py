@@ -260,6 +260,44 @@ def test_telemetry_counts_verdicts_and_rules():
             TELEMETRY.disable()
 
 
+def test_validate_spans_summarize_and_match():
+    from repro.telemetry.registry import TELEMETRY
+    from repro.telemetry.spans import SPANS
+
+    kernel = _fuzz_kernel()
+    result = WaspCompiler(
+        WaspCompilerOptions(enable_tma_offload=False,
+                            verify=False, validate=False)
+    ).compile(kernel.program, kernel.launch.num_warps)
+    was_enabled = TELEMETRY.enabled
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    SPANS.clear()
+    try:
+        validate_programs(kernel.program, result.program)
+        spans = {
+            s.name: s for s in SPANS.by_subsystem()["transval"]
+        }
+        rows = TELEMETRY.snapshot().to_list()
+    finally:
+        TELEMETRY.reset()
+        if not was_enabled:
+            TELEMETRY.disable()
+    assert set(spans) == {"validate", "summarize", "match"}
+    parent = spans["validate"]
+    for child in (spans["summarize"], spans["match"]):
+        assert parent.start_s <= child.start_s <= child.end_s \
+            <= parent.end_s
+    assert (spans["summarize"].duration_s + spans["match"].duration_s
+            <= parent.duration_s)
+    passes = {
+        r["labels"]["pass"] for r in rows
+        if r["name"] == "repro_pass_seconds"
+        and r["labels"]["subsystem"] == "transval"
+    }
+    assert passes == {"validate", "summarize", "match"}
+
+
 def test_report_json_shape():
     kernel = _fuzz_kernel()
     result = WaspCompiler(
