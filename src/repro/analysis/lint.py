@@ -1,27 +1,39 @@
-"""Registry-wide lint driver behind ``repro lint``.
+"""The ``repro lint`` and ``repro validate`` sweeps.
 
-Compiles each workload kernel with the standard compiler options but
-verification-as-exception disabled, runs the static verifier over the
-result (the specialized program when extraction succeeds, the original
-otherwise), and aggregates the findings into one report document.
+Lint compiles each kernel with verification-as-exception disabled,
+runs the static verifier over the result (the specialized program when
+extraction succeeds, the original otherwise), and aggregates the
+findings into one report document.  Validate compiles each kernel under
+named option sets at each ring depth and certifies every compile
+equivalent to its source with the translation validator.
 
-Unlike the compiler's opt-out post-pass this never raises on findings:
-lint exists to *show* them.  The CLI maps error-severity findings to a
-non-zero exit code so CI can gate on a clean registry.
+Unlike the compiler's opt-out post-passes these never raise on
+findings: they exist to *show* them.  Both commands are
+:class:`repro.sweeps.Sweep` declarations (:data:`LINT`,
+:data:`VALIDATE`); the driver gates the exit code on their reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.facts import PipelineFacts
+from repro.analysis.sarif import sarif_from_lint, sarif_from_validate
 from repro.core.compiler.pipeline import (
     CompileResult,
     WaspCompiler,
     WaspCompilerOptions,
 )
 from repro.isa.program import Program
+from repro.sweeps import Cell, Sweep, registry_kernels
+
+if TYPE_CHECKING:
+    from argparse import Namespace
+
+    from repro.fuzz.corpus import CorpusEntry
+    from repro.workloads.base import Kernel
 
 LINT_SCHEMA = "repro-lint-report-v1"
 VALIDATE_SCHEMA = "repro-validate-report-v1"
@@ -137,6 +149,26 @@ def lint_kernel(
     return result, report
 
 
+def lint_one(
+    benchmark: str,
+    name: str,
+    kernel: Kernel,
+    options: WaspCompilerOptions | None = None,
+    validate: bool = False,
+) -> KernelLint:
+    """Lint one kernel and label its outcome ``benchmark/name``."""
+    result, report = lint_kernel(
+        kernel.program, kernel.launch.num_warps, options, validate=validate
+    )
+    return KernelLint(
+        benchmark=benchmark,
+        kernel=name,
+        specialized=result.specialized,
+        num_stages=result.num_stages,
+        report=report,
+    )
+
+
 def lint_benchmarks(
     names: list[str] | None = None,
     scale: float = 0.25,
@@ -144,25 +176,10 @@ def lint_benchmarks(
     validate: bool = False,
 ) -> LintResult:
     """Lint every kernel of the named benchmarks (default: all)."""
-    from repro.workloads.registry import all_benchmarks, get_benchmark
-
-    names = list(names) if names else all_benchmarks()
-    out = LintResult(scale=scale)
-    for name in names:
-        bench = get_benchmark(name, scale)
-        for kernel in bench.kernels:
-            result, report = lint_kernel(
-                kernel.program, kernel.launch.num_warps, options,
-                validate=validate,
-            )
-            out.kernels.append(KernelLint(
-                benchmark=bench.name,
-                kernel=kernel.name,
-                specialized=result.specialized,
-                num_stages=result.num_stages,
-                report=report,
-            ))
-    return out
+    return LintResult(scale, [
+        lint_one(bench, kernel.name, kernel, options, validate)
+        for bench, kernel in registry_kernels(names, scale)
+    ])
 
 
 @dataclass
@@ -208,6 +225,10 @@ class ValidateResult:
     @property
     def num_errors(self) -> int:
         return sum(len(k.report.errors) for k in self.kernels)
+
+    @property
+    def num_warnings(self) -> int:
+        return sum(len(k.report.warnings) for k in self.kernels)
 
     @property
     def num_abstentions(self) -> int:
@@ -286,50 +307,14 @@ def _compile_unchecked(
     return WaspCompiler(options).compile(program, num_warps)
 
 
-def validate_benchmarks(
-    names: list[str] | None = None,
-    scale: float = 0.25,
-    option_sets: (
-        list[tuple[str, WaspCompilerOptions]] | None
-    ) = None,
-    depths: tuple[int, ...] = (2,),
-) -> ValidateResult:
-    """Validate the named benchmarks under each (options, depth) pair.
+class OptionSet(NamedTuple):
+    """A named compiler option set: one entry of validate's axis."""
 
-    ``option_sets`` is ``[(name, options), …]``; each is crossed with
-    every ring depth in ``depths`` (``pipeline_depth`` is overridden
-    per run).  Default: one run per depth under default options.
-    """
-    from repro.workloads.registry import all_benchmarks, get_benchmark
-
-    names = list(names) if names else all_benchmarks()
-    option_sets = option_sets or [("default", WaspCompilerOptions())]
-    out = ValidateResult(scale=scale)
-    for name in names:
-        bench = get_benchmark(name, scale)
-        for kernel in bench.kernels:
-            for opts_name, options in option_sets:
-                for depth in depths:
-                    result, tv = validate_kernel(
-                        kernel.program,
-                        kernel.launch.num_warps,
-                        replace(options, pipeline_depth=depth),
-                    )
-                    out.kernels.append(KernelValidation(
-                        benchmark=bench.name,
-                        kernel=kernel.name,
-                        depth=depth,
-                        options_name=opts_name,
-                        specialized=result.specialized,
-                        verdict=tv.verdict,
-                        report=tv.report,
-                        matched_stores=tv.matched_stores,
-                        source_stores=tv.source_stores,
-                    ))
-    return out
+    name: str
+    compiler: WaspCompilerOptions
 
 
-def standard_option_sets() -> list[tuple[str, WaspCompilerOptions]]:
+def standard_option_sets() -> list[OptionSet]:
     """The named compiler option sets ``repro validate`` sweeps.
 
     These are the fuzz oracle's deterministic variants minus
@@ -338,99 +323,149 @@ def standard_option_sets() -> list[tuple[str, WaspCompilerOptions]]:
     """
     from repro.fuzz.oracle import OPTION_SETS
 
-    return [(n, o) for n, o in OPTION_SETS if n != "deep-ring"]
+    return [OptionSet(n, o) for n, o in OPTION_SETS if n != "deep-ring"]
 
 
-def lint_corpus(corpus_dir=None, validate: bool = False) -> LintResult:
-    """Lint the committed fuzz-corpus kernels (``repro lint --corpus``).
-
-    Each corpus entry's spec is rebuilt into a kernel and its *clean*
-    compile is verified — the corpus doubles as extra lint coverage
-    beyond the registry.  Injected corruptions are exercised by
-    ``repro validate --corpus`` and the fuzz gates, not here.
-    """
-    from repro.fuzz.corpus import load_corpus
+def _lint_entry(entry: CorpusEntry, args: Namespace) -> list[KernelLint]:
+    """Lint a corpus entry's clean compile; the corpus doubles as lint
+    coverage beyond the registry.  Injected corruptions are exercised
+    by ``repro validate --corpus`` and the fuzz gates, not here."""
     from repro.fuzz.generator import build_kernel
 
-    out = LintResult(scale=1.0)
-    for entry in load_corpus(corpus_dir):
-        kernel = build_kernel(entry.spec)
-        result, report = lint_kernel(
-            kernel.program, kernel.launch.num_warps, validate=validate,
+    kernel = build_kernel(entry.spec)
+    return [lint_one("corpus", entry.name, kernel, validate=args.validate)]
+
+
+#: ``repro lint``: every registry kernel (or corpus entry) under the
+#: default compiler options.
+LINT: Sweep[KernelLint, LintResult] = Sweep(
+    label="lint",
+    checks={
+        "corpus": _lint_entry,
+        "registry": lambda cell, args: [lint_one(
+            cell.benchmark, cell.kernel.name, cell.kernel, cell.options,
+            args.validate,
+        )],
+    },
+    default_sources=("registry",),
+    report=LintResult,
+    footer=lambda result, elapsed: (
+        f"[linted {len(result.kernels)} kernel(s) in {elapsed:.1f}s]"
+    ),
+    axis=lambda args: [OptionSet("default", WaspCompilerOptions())],
+    sarif=sarif_from_lint,
+)
+
+
+def _validate_axis(args: Namespace) -> list[OptionSet]:
+    """The ``--options`` sets, by name (``standard``: all four)."""
+    standard = {s.name: s for s in standard_option_sets()}
+    wanted = args.options.split(",")
+    if "standard" in wanted:
+        wanted = list(standard)
+    unknown = [w for w in wanted if w not in standard]
+    if unknown:
+        raise SystemExit(
+            f"unknown option set(s) {unknown}; choose from: "
+            + ", ".join([*standard, "standard"])
         )
-        out.kernels.append(KernelLint(
-            benchmark="corpus",
-            kernel=entry.name,
-            specialized=result.specialized,
-            num_stages=result.num_stages,
-            report=report,
-        ))
-    return out
+    return [standard[w] for w in wanted]
 
 
-def validate_corpus(corpus_dir=None) -> ValidateResult:
-    """Translation-validate the committed fuzz corpus.
+def _validate_cell(cell: Cell, args: Namespace) -> list[KernelValidation]:
+    result, tv = validate_kernel(
+        cell.kernel.program, cell.kernel.launch.num_warps, cell.options
+    )
+    return [KernelValidation(
+        benchmark=cell.benchmark,
+        kernel=cell.kernel.name,
+        depth=cell.depth,
+        options_name=cell.entry.name,
+        specialized=result.specialized,
+        verdict=tv.verdict,
+        report=tv.report,
+        matched_stores=tv.matched_stores,
+        source_stores=tv.source_stores,
+    )]
 
-    Entries carrying an injected corruption are compiled, mutated, and
-    validated — the validator must report ``not-equivalent`` (these
-    are the detector self-tests).  Clean entries must certify
-    ``equivalent``.  An entry whose verdict contradicts its expectation
-    is surfaced as a synthetic WASP-T002 so the standard gating
+
+def _validate_entry(
+    entry: CorpusEntry, args: Namespace
+) -> list[KernelValidation]:
+    """Translation-validate a corpus entry's first specializing compile.
+
+    An entry carrying an injected corruption is compiled, mutated, and
+    validated: the validator must report ``not-equivalent`` (these are
+    the detector self-tests).  A clean entry must certify
+    ``equivalent``.  A verdict contradicting the expectation surfaces
+    as a synthetic WASP-T002 so the standard gating
     (:attr:`ValidateResult.clean`) fails.
     """
     from repro.analysis.transval import validate_programs
-    from repro.fuzz.corpus import load_corpus
     from repro.fuzz.generator import build_kernel
     from repro.fuzz.mutate import apply_mutation
     from repro.fuzz.oracle import OPTION_SETS
 
-    out = ValidateResult(scale=1.0)
-    for entry in load_corpus(corpus_dir):
-        kernel = build_kernel(entry.spec)
-        for opts_name, options in OPTION_SETS:
-            result = _compile_unchecked(
-                kernel.program, kernel.launch.num_warps, options
-            )
-            if not result.specialized:
+    kernel = build_kernel(entry.spec)
+    for opts_name, options in OPTION_SETS:
+        result = _compile_unchecked(
+            kernel.program, kernel.launch.num_warps, options
+        )
+        if not result.specialized:
+            continue
+        program, facts = result.program, result.facts
+        if entry.inject is not None:
+            program, facts = apply_mutation(program, entry.inject), None
+            if program is None:
                 continue
-            program, facts = result.program, result.facts
-            if entry.inject is not None:
-                program, facts = apply_mutation(program, entry.inject), None
-                if program is None:
-                    continue
-            tv = validate_programs(kernel.program, program, facts=facts)
-            verdict = tv.verdict
-            report = tv.report
-            if entry.inject is not None:
-                # Expectation flip: a flagged corruption is the
-                # *passing* outcome for an injected entry.
-                if verdict == "not-equivalent":
-                    verdict = "equivalent"
-                    report = DiagnosticReport()
-                else:
-                    from repro.analysis.diagnostics import Diagnostic
+        tv = validate_programs(kernel.program, program, facts=facts)
+        verdict = tv.verdict
+        report = tv.report
+        if entry.inject is not None:
+            # Expectation flip: a flagged corruption is the
+            # *passing* outcome for an injected entry.
+            if verdict == "not-equivalent":
+                verdict = "equivalent"
+                report = DiagnosticReport()
+            else:
+                from repro.analysis.diagnostics import Diagnostic
 
-                    verdict = "not-equivalent"
-                    report = DiagnosticReport([Diagnostic(
-                        rule="WASP-T002",
-                        message=(
-                            f"injected corruption {entry.inject!r} was "
-                            f"NOT statically flagged (validator said "
-                            f"{tv.verdict!r}) — the corpus self-test "
-                            "expects not-equivalent"
-                        ),
-                        kernel=kernel.program.name,
-                    )])
-            out.kernels.append(KernelValidation(
-                benchmark="corpus",
-                kernel=entry.name,
-                depth=options.pipeline_depth,
-                options_name=opts_name,
-                specialized=True,
-                verdict=verdict,
-                report=report,
-                matched_stores=tv.matched_stores,
-                source_stores=tv.source_stores,
-            ))
-            break
-    return out
+                verdict = "not-equivalent"
+                report = DiagnosticReport([Diagnostic(
+                    rule="WASP-T002",
+                    message=(
+                        f"injected corruption {entry.inject!r} was "
+                        f"NOT statically flagged (validator said "
+                        f"{tv.verdict!r}) — the corpus self-test "
+                        "expects not-equivalent"
+                    ),
+                    kernel=kernel.program.name,
+                )])
+        return [KernelValidation(
+            benchmark="corpus",
+            kernel=entry.name,
+            depth=options.pipeline_depth,
+            options_name=opts_name,
+            specialized=True,
+            verdict=verdict,
+            report=report,
+            matched_stores=tv.matched_stores,
+            source_stores=tv.source_stores,
+        )]
+    return []
+
+
+#: ``repro validate``: registry kernels × ``--options`` sets × ring
+#: depths (depths nested inside each set), or the corpus self-tests.
+VALIDATE: Sweep[KernelValidation, ValidateResult] = Sweep(
+    label="validation",
+    checks={"corpus": _validate_entry, "registry": _validate_cell},
+    default_sources=("registry",),
+    report=ValidateResult,
+    footer=lambda result, elapsed: (
+        f"[validated {len(result.kernels)} compile(s) in {elapsed:.1f}s]"
+    ),
+    axis=_validate_axis,
+    depths_outer=False,
+    sarif=sarif_from_validate,
+)

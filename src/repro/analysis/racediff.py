@@ -19,6 +19,8 @@ static pass already reported it could not resolve an access in one of
 the stages involved (WASP-S003).  The static engine is allowed to be
 more conservative than one execution (races need not manifest
 dynamically), so the reverse direction is not checked.
+
+:data:`RACEDIFF` declares the ``repro racediff`` sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.analysis.facts import PipelineFacts
 from repro.errors import ReproError
 from repro.fexec.machine import run_kernel
 from repro.fexec.sanitizer import SanitizerRace
+from repro.sweeps import Sweep, standard_configs_axis
 
 RACEDIFF_SCHEMA = "repro-racediff-report-v1"
 
@@ -66,6 +69,43 @@ class RaceDiff:
             "missing": list(self.missing),
             "skipped": self.skipped,
             "ok": self.ok,
+        }
+
+
+@dataclass
+class RaceDiffReport:
+    """Every comparison of one ``repro racediff`` run."""
+
+    comparisons: list[RaceDiff]
+    num_warnings = 0
+
+    @property
+    def clean(self) -> bool:
+        return all(d.ok for d in self.comparisons)
+
+    def to_text(self, verbose: bool = False) -> str:
+        lines: list[str] = []
+        for diff in self.comparisons:
+            if not diff.ok:
+                lines.append(f"STATIC FALSE NEGATIVE {diff.label}")
+                lines.extend(f"  {line}" for line in diff.missing)
+        return "\n".join(lines)
+
+    def summary_line(self, elapsed: float) -> str:
+        diffs = self.comparisons
+        ok = sum(1 for d in diffs if d.ok)
+        skipped = sum(1 for d in diffs if d.skipped)
+        dynamic = sum(d.num_dynamic for d in diffs)
+        return (
+            f"racediff: {ok}/{len(diffs)} comparisons agree ({dynamic} "
+            f"dynamic race(s) observed, {skipped} skipped; "
+            f"{elapsed:.1f}s)"
+        )
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "schema": RACEDIFF_SCHEMA,
+            "comparisons": [d.to_json() for d in self.comparisons],
         }
 
 
@@ -171,3 +211,24 @@ def _diff_compile(
         num_warps=kernel.launch.num_warps * compiled.num_stages,
     )
     return [diff_races(label, compiled.facts, kernel.image_factory(), launch)]
+
+
+#: ``repro racediff``: corpus specs (injected corruptions belong to the
+#: fuzz oracle), fresh seeds, and registry kernels under the standard
+#: configs at each ring depth.
+RACEDIFF: Sweep[RaceDiff, RaceDiffReport] = Sweep(
+    label="racediff",
+    checks={
+        "corpus": lambda entry, args: racediff_spec(entry.spec),
+        "seeds": lambda spec, args: racediff_spec(spec),
+        "registry": lambda cell, args: racediff_registry_kernel(
+            cell.kernel, cell.config()
+        ),
+    },
+    default_sources=("corpus", "registry"),
+    report=lambda scale, diffs: RaceDiffReport(diffs),
+    footer=RaceDiffReport.summary_line,
+    axis=standard_configs_axis,
+    keep=lambda entry: entry.inject is None,
+    tally="specs",
+)

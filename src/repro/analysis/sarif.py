@@ -12,10 +12,17 @@ anchor to ``kernel::block`` logical names instead of physical ones.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity
-from repro.analysis.lint import LintResult, ValidateResult
+
+if TYPE_CHECKING:
+    from repro.analysis.lint import (
+        KernelLint,
+        KernelValidation,
+        LintResult,
+        ValidateResult,
+    )
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -90,14 +97,21 @@ def _sarif_document(
     }
 
 
+def _sarif_log(
+    tool_name: str, kernels: Iterable[KernelLint | KernelValidation]
+) -> dict[str, Any]:
+    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
+    results = [
+        _result(diag, rule_index)
+        for kernel in kernels
+        for diag in kernel.report
+    ]
+    return _sarif_document(tool_name, results)
+
+
 def sarif_from_lint(result: LintResult) -> dict[str, Any]:
     """One SARIF 2.1.0 log for a whole ``repro lint`` run."""
-    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
-    results: list[dict[str, Any]] = []
-    for kernel in result.kernels:
-        for diag in kernel.report:
-            results.append(_result(diag, rule_index))
-    return _sarif_document("repro-lint", results)
+    return _sarif_log("repro-lint", result.kernels)
 
 
 def sarif_from_validate(result: ValidateResult) -> dict[str, Any]:
@@ -108,9 +122,4 @@ def sarif_from_validate(result: ValidateResult) -> dict[str, Any]:
     so code-scanning UIs render translation-validation findings with
     no extra plumbing.
     """
-    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
-    results: list[dict[str, Any]] = []
-    for kernel in result.kernels:
-        for diag in kernel.report:
-            results.append(_result(diag, rule_index))
-    return _sarif_document("repro-transval", results)
+    return _sarif_log("repro-transval", result.kernels)

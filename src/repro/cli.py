@@ -25,6 +25,8 @@ import json
 import sys
 import time
 
+from repro.sweeps import check_benchmarks, parse_depths, run_sweep, write_json
+
 _ARTIFACTS = {
     "table2": "Table II — median/max kernel speedups",
     "fig3": "Figure 3 — pointnet utilization timeline",
@@ -40,38 +42,42 @@ _ARTIFACTS = {
 }
 
 
-def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="enable telemetry and write a repro-metrics-v1 JSON "
-             "snapshot of the run",
-    )
-    parser.add_argument(
-        "--metrics-prom", default=None, metavar="PATH",
-        help="also write the metrics snapshot in Prometheus text "
-             "exposition format",
-    )
+def _flag(parser: argparse.ArgumentParser, name: str, help: str) -> None:
+    """A boolean ``--name`` switch."""
+    parser.add_argument(name, action="store_true", help=help)
 
 
-def _metrics_requested(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "metrics_out", None)
-        or getattr(args, "metrics_prom", None)
-    )
+def _path(
+    parser: argparse.ArgumentParser, name: str, help: str,
+    metavar: str = "PATH",
+) -> None:
+    """An optional ``--name PATH`` file or directory."""
+    parser.add_argument(name, default=None, metavar=metavar, help=help)
 
 
-def _enable_metrics(args: argparse.Namespace) -> None:
-    """Turn the registry on before any instrumented work runs."""
-    if _metrics_requested(args):
-        from repro.telemetry.registry import TELEMETRY
+def _add_run_flags(
+    parser: argparse.ArgumentParser, metrics: bool = True
+) -> None:
+    """Telemetry-snapshot and trace-cache flags of commands that run
+    kernels."""
+    if metrics:
+        _path(parser, "--metrics-out", "enable telemetry and write a "
+              "repro-metrics-v1 JSON snapshot of the run")
+        _path(parser, "--metrics-prom", "also write the metrics snapshot "
+              "in Prometheus text exposition format")
+    _path(parser, "--cache-dir", "trace cache directory (default: "
+          "REPRO_CACHE_DIR or .repro_cache)", metavar="DIR")
+    _flag(parser, "--no-cache", "disable the persistent on-disk trace "
+          "cache")
+    _flag(parser, "--clear-cache", "delete all persisted trace cache "
+          "entries before running")
 
-        TELEMETRY.enable()
 
-
-def _write_metrics(args: argparse.Namespace, command: str) -> None:
-    """Emit the end-of-run snapshot for ``--metrics-out`` flags."""
-    if not _metrics_requested(args):
-        return
+def _write_metrics(
+    command: str, json_out: str | None, prom_out: str | None
+) -> dict:
+    """Snapshot the telemetry registry and write it as repro-metrics-v1
+    JSON and/or Prometheus text."""
     from repro.telemetry.registry import TELEMETRY
     from repro.telemetry.snapshot import (
         build_metrics_document,
@@ -82,309 +88,377 @@ def _write_metrics(args: argparse.Namespace, command: str) -> None:
     doc = build_metrics_document(
         TELEMETRY.snapshot(), command=command, spans=SPANS
     )
-    write_metrics_outputs(
-        doc, getattr(args, "metrics_out", None),
-        getattr(args, "metrics_prom", None),
-    )
-    if getattr(args, "metrics_out", None):
-        print(f"[wrote {len(doc['metrics'])} metric series to "
-              f"{args.metrics_out}]")
-    if getattr(args, "metrics_prom", None):
-        print(f"[wrote Prometheus metrics to {args.metrics_prom}]")
+    write_metrics_outputs(doc, json_out, prom_out)
+    if json_out:
+        print(f"[wrote {len(doc['metrics'])} metric series to {json_out}]")
+    if prom_out:
+        print(f"[wrote Prometheus metrics to {prom_out}]")
+    return doc
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+def _add_scale(
+    parser: argparse.ArgumentParser, default: float = 0.25, why: str = ""
+) -> None:
     parser.add_argument(
-        "--cache-dir", default=None,
-        help="trace cache directory (default: REPRO_CACHE_DIR or "
-             ".repro_cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent on-disk trace cache",
-    )
-    parser.add_argument(
-        "--clear-cache", action="store_true",
-        help="delete all persisted trace cache entries before running",
+        "--scale", type=float, default=default,
+        help=f"workload scale factor (default {default}{why})",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="WASP (HPCA 2024) reproduction: regenerate paper "
-                    "tables and figures.",
-    )
-    parser.add_argument(
-        "artifact",
-        choices=sorted(_ARTIFACTS) + ["list", "all"],
-        help="which artifact to regenerate ('list' shows descriptions; "
-             "see also the 'profile' subcommand)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.5,
-        help="workload scale factor (1.0 = full size; default 0.5)",
-    )
-    parser.add_argument(
-        "--benchmarks", nargs="*", default=None,
-        help="benchmark subset (default: all twenty)",
-    )
+def _add_jobs(parser: argparse.ArgumentParser, why: str) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the sweep (default: REPRO_JOBS or 1)",
+        help=f"worker processes (default: REPRO_JOBS or 1){why}",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print the sweep's aggregate stall-cause breakdown",
-    )
-    parser.add_argument(
-        "--profile-json", default=None, metavar="PATH",
-        help="write the sweep's stall/cache statistics as JSON",
-    )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a Chrome trace of a representative workload (the "
-             "sweep's first benchmark under WASP_GPU) for Perfetto",
-    )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
-    return parser
 
 
-def build_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile one workload's pipeline: stall-cause "
-                    "attribution, queue occupancy, and an optional "
-                    "Chrome trace for Perfetto.",
-    )
-    parser.add_argument(
-        "benchmark",
-        help="registered benchmark name (see 'repro list' artifacts, "
-             "e.g. pointnet, gemm, spmv1_g3)",
-    )
-    parser.add_argument(
-        "--kernel", default=None,
-        help="kernel within the benchmark (default: every kernel)",
-    )
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default="WASP_GPU",
         help="evaluation configuration name (default: WASP_GPU)",
     )
+
+
+def _add_corpus(parser: argparse.ArgumentParser, what: str) -> None:
+    _flag(parser, "--corpus", what)
+    _path(parser, "--corpus-dir", "corpus directory (default: "
+          "tests/corpus/)", metavar="DIR")
+
+
+def _add_seeds(
+    parser: argparse.ArgumentParser, default: int, what: str
+) -> None:
     parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (default 0.25: profiling favours "
-             "small runs)",
+        "--seeds", type=int, default=default, metavar="N", help=what,
     )
     parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a Chrome trace_event JSON loadable in "
-             "https://ui.perfetto.dev",
+        "--seed-base", type=int, default=0, metavar="B",
+        help="first seed (default 0); the run covers B .. B+N-1",
     )
+
+
+def _add_depths(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the stall/queue profile as machine-readable JSON",
+        "--depths", type=parse_depths, default="2", metavar="D[,D...]",
+        help="comma-separated circular-buffer ring depths (default 2); "
+             "depth D recompiles every compiler-enabled cell with "
+             "pipeline_depth=D",
     )
+
+
+def _add_check_flags(
+    parser: argparse.ArgumentParser, verb: str, report: str, verbose: str
+) -> None:
+    """Benchmark names, ``--all``, ``--json-out``, ``--sarif`` and
+    ``--verbose``: the flags lint and validate share."""
     parser.add_argument(
+        "benchmarks", nargs="*",
+        help=f"benchmark names to {verb} (default with --all or no "
+             "names: every registered benchmark)",
+    )
+    _flag(parser, "--all", f"{verb} every registered benchmark (explicit "
+          "form of the no-argument default, for scripts)")
+    _path(parser, "--json-out", f"write the full {report} report as JSON "
+          "(CI archives this as an artifact)")
+    _path(parser, "--sarif", "also write the findings as a SARIF 2.1.0 "
+          "log (GitHub code scanning / IDE SARIF viewers)")
+    _flag(parser, "--verbose", verbose)
+
+
+def _add_differential_flags(parser: argparse.ArgumentParser) -> None:
+    """The corediff/racediff flag set: sources, registry scale, depths."""
+    _add_corpus(parser, "diff the committed fuzz corpus specs (default: "
+                "corpus and registry when no source flag is given)")
+    _flag(parser, "--registry", "diff every registry kernel under the "
+          "standard evaluation configs")
+    _add_seeds(parser, 0, "additionally diff N freshly generated fuzz "
+                          "specs")
+    _add_scale(parser, why="; the registry sweep's problem size")
+    _add_depths(parser)
+    _path(parser, "--json-out", "write the per-comparison report as JSON")
+    _add_run_flags(parser)
+
+
+def _command(
+    commands, name: str, summary: str, run, description: str | None = None
+) -> argparse.ArgumentParser:
+    """Register one subcommand; ``repro list`` prints its summary."""
+    parser = commands.add_parser(
+        name, help=summary, description=description or summary
+    )
+    parser.set_defaults(run=run, summary=summary)
+    return parser
+
+
+def _sweep(module: str, declaration: str):
+    """Handler running the :class:`repro.sweeps.Sweep` declared as
+    ``module.declaration`` (imported on first use)."""
+    def run(args: argparse.Namespace) -> int:
+        sweep = getattr(importlib.import_module(module), declaration)
+        return run_sweep(sweep, args)
+
+    return run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: one subcommand per artifact and per tool."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="WASP (HPCA 2024) reproduction: regenerate paper "
+                    "tables and figures, and run the toolchain's "
+                    "checks.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
+    )
+    artifacts = {
+        **_ARTIFACTS,
+        "list": "Describe every artifact and subcommand",
+        "all": "Regenerate every artifact in turn",
+    }
+    for name, summary in artifacts.items():
+        sub = _command(commands, name, summary, _run_artifacts)
+        sub.set_defaults(artifact=name)
+        _add_scale(sub, 0.5, "; 1.0 = full size")
+        sub.add_argument(
+            "--benchmarks", nargs="*", default=None,
+            help="benchmark subset (default: every registered benchmark)",
+        )
+        _add_jobs(sub, " for the sweep")
+        _flag(sub, "--profile", "print the sweep's aggregate stall-cause "
+              "breakdown")
+        _path(sub, "--profile-json", "write the sweep's stall/cache "
+              "statistics as JSON")
+        _path(sub, "--trace-out", "write a Chrome trace of a "
+              "representative workload (the sweep's first benchmark "
+              "under WASP_GPU) for Perfetto")
+        _add_run_flags(sub)
+    commands.choices["list"].set_defaults(run=lambda args: _list(commands))
+
+    sub = _command(
+        commands, "profile", "Pipeline profiler", run_profile,
+        "Profile one workload's pipeline: stall-cause attribution, queue "
+        "occupancy, and an optional Chrome trace for Perfetto.",
+    )
+    sub.add_argument(
+        "benchmark",
+        help="registered benchmark name (see 'repro list' artifacts, "
+             "e.g. pointnet, gemm, spmv1_g3)",
+    )
+    sub.add_argument(
+        "--kernel", default=None,
+        help="kernel within the benchmark (default: every kernel)",
+    )
+    _add_config(sub)
+    _add_scale(sub, why="; profiling favours small runs")
+    _path(sub, "--trace-out", "write a Chrome trace_event JSON loadable "
+          "in https://ui.perfetto.dev")
+    _path(sub, "--json-out", "write the stall/queue profile as "
+          "machine-readable JSON")
+    sub.add_argument(
         "--trace-capacity", type=int, default=None,
         help="event ring-buffer size (oldest events drop beyond this)",
     )
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help="also run the vector-clock SMEM race sanitizer over each "
-             "kernel's functional execution and report observed races",
-    )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
-    return parser
+    _flag(sub, "--sanitize", "also run the vector-clock SMEM race "
+          "sanitizer over each kernel's functional execution and report "
+          "observed races")
+    _add_run_flags(sub)
 
+    sub = _command(
+        commands, "lint", "Static pipeline verifier", _run_lint,
+        "Static pipeline verification: compile each kernel and run the "
+        "queue-protocol, deadlock, SMEM-race and resource passes without "
+        "executing anything.  Exits non-zero when any error-severity "
+        "diagnostic fires.",
+    )
+    _add_check_flags(sub, "lint", "diagnostic",
+                     "also list kernels that verified clean")
+    _add_scale(sub, why="; findings are scale-independent for all "
+                        "current workloads")
+    _flag(sub, "--strict", "exit non-zero on warnings too, not only on "
+          "errors")
+    _flag(sub, "--validate", "also run the translation validator on each "
+          "compile and merge its WASP-T findings into the report")
+    _add_corpus(sub, "lint the committed fuzz-corpus kernels "
+                     "(tests/corpus/) instead of the benchmark registry")
+    _flag(sub, "--list-rules", "print the WASP-C/Q/D/S/R/T rule catalogue "
+          "(id, severity, description) and exit without linting anything")
 
-def build_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Static pipeline verification: compile each kernel "
-                    "and run the queue-protocol, deadlock, SMEM-race and "
-                    "resource passes without executing anything.  Exits "
-                    "non-zero when any error-severity diagnostic fires.",
+    sub = _command(
+        commands, "validate", "Translation validation certificates",
+        _sweep("repro.analysis.lint", "VALIDATE"),
+        "Translation validation: prove each WASP compile equivalent to "
+        "its source kernel without executing either — symbolic effect "
+        "summaries, ring-slot residue matching, and queue value "
+        "threading.  Exits non-zero on any not-equivalent verdict OR any "
+        "abstention (an uncertified compile is a finding, never a "
+        "silent pass).",
     )
-    parser.add_argument(
-        "benchmarks", nargs="*",
-        help="benchmark names to lint (default with --all or no names: "
-             "every registered benchmark)",
-    )
-    parser.add_argument(
-        "--all", action="store_true",
-        help="lint every registered benchmark (explicit form of the "
-             "no-argument default, for scripts)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (default 0.25; findings are "
-             "scale-independent for all current workloads)",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the full diagnostic report as JSON (CI archives "
-             "this as an artifact)",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write the findings as a SARIF 2.1.0 log (GitHub "
-             "code scanning / IDE SARIF viewers)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on warnings too, not only on errors",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also list kernels that verified clean",
-    )
-    parser.add_argument(
-        "--validate", action="store_true",
-        help="also run the translation validator on each compile and "
-             "merge its WASP-T findings into the report",
-    )
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="lint the committed fuzz-corpus kernels (tests/corpus/) "
-             "instead of the benchmark registry",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="corpus directory (default: tests/corpus/)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the WASP-C/Q/D/S/R/T rule catalogue (id, severity, "
-             "description) and exit without linting anything",
-    )
-    return parser
-
-
-def build_validate_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro validate",
-        description="Translation validation: prove each WASP compile "
-                    "equivalent to its source kernel without executing "
-                    "either — symbolic effect summaries, ring-slot "
-                    "residue matching, and queue value threading.  "
-                    "Exits non-zero on any not-equivalent verdict OR "
-                    "any abstention (an uncertified compile is a "
-                    "finding, never a silent pass).",
-    )
-    parser.add_argument(
-        "benchmarks", nargs="*",
-        help="benchmark names to validate (default with --all or no "
-             "names: every registered benchmark)",
-    )
-    parser.add_argument(
-        "--all", action="store_true",
-        help="validate every registered benchmark (explicit form of "
-             "the no-argument default, for scripts)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (default 0.25; verdicts are "
-             "scale-independent for all current workloads)",
-    )
-    parser.add_argument(
-        "--depths", default="2", metavar="D[,D…]",
-        help="comma-separated circular-buffer ring depths to validate "
-             "at (default: 2; CI sweeps 2,4,8)",
-    )
-    parser.add_argument(
+    _add_check_flags(sub, "validate", "validation",
+                     "also list compiles that certified equivalent")
+    _add_scale(sub, why="; verdicts are scale-independent for all "
+                        "current workloads")
+    _add_depths(sub)
+    sub.add_argument(
         "--options", default="full", metavar="SET[,SET…]",
         help="comma-separated compiler option sets to cross with "
              "--depths: sw-queues, full, two-stage, tiny-queues, or "
              "'standard' for all four (default: full)",
     )
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="validate the committed fuzz corpus (tests/corpus/) "
-             "instead of the registry; injected-corruption entries "
-             "must be statically flagged not-equivalent",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="corpus directory (default: tests/corpus/)",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the full validation report as JSON (CI archives "
-             "this as an artifact)",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write the findings as a SARIF 2.1.0 log",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also list compiles that certified equivalent",
-    )
-    return parser
+    _add_corpus(sub, "validate the committed fuzz corpus (tests/corpus/) "
+                     "instead of the registry; injected-corruption "
+                     "entries must be statically flagged not-equivalent")
 
-
-def build_advise_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro advise",
-        description="Analytical pipeline advisor: predict each kernel's "
-                    "cycles with the static performance model, enumerate "
-                    "candidate configurations (queue depths, stage "
-                    "splits, TMA on/off), and suggest an options delta "
-                    "only when the predicted gain clears the margin.  "
-                    "No candidate is simulated; one simulation of the "
-                    "default configuration calibrates each row.",
+    sub = _command(
+        commands, "fuzz", "Differential fuzzing harness", run_fuzz_cli,
+        "Differential fuzzing: random pipeline kernels run unspecialized "
+        "and after WaspCompiler stage-splitting must produce "
+        "bit-identical memory, consistent instruction accounting, and "
+        "obey the simulator's metamorphic timing invariants.  Failing "
+        "seeds are shrunk to minimal repros.  Exits non-zero on any "
+        "failure (inverted by --expect-failures).",
     )
-    parser.add_argument(
+    _add_seeds(sub, 100, "number of seeds to fuzz (default 100)")
+    _add_jobs(sub, "; results are identical for any value")
+    _flag(sub, "--no-shrink", "report failures without minimizing them "
+          "first")
+    _flag(sub, "--no-metamorphic", "skip the simulator timing invariants "
+          "(differential functional oracle only)")
+    _path(sub, "--inject", "corrupt every specialized program with a "
+          "named mutation (drop-pop, drop-push, arrive-to-wait) — the "
+          "oracle self-test; combine with --expect-failures",
+          metavar="MUTATION")
+    _flag(sub, "--expect-failures", "invert the exit code: succeed only "
+          "when failures were caught (CI uses this to prove the oracle "
+          "detects injected bugs)")
+    sub.add_argument(
+        "--time-budget", type=float, default=None, metavar="SECONDS",
+        help="stop dispatching new seeds after this much wall-clock "
+             "time (the nightly CI budget)",
+    )
+    _add_corpus(sub, "replay every committed corpus entry instead of "
+                     "fuzzing fresh seeds")
+    _flag(sub, "--save-corpus", "persist (minimized) failures as corpus "
+          "entries")
+    _path(sub, "--json-out", "write the fuzz report as machine-readable "
+          "JSON")
+    _add_run_flags(sub)
+
+    sub = _command(
+        commands, "advise", "Analytical pipeline advisor", run_advise,
+        "Analytical pipeline advisor: predict each kernel's cycles with "
+        "the static performance model, enumerate candidate "
+        "configurations (queue depths, stage splits, TMA on/off), and "
+        "suggest an options delta only when the predicted gain clears "
+        "the margin.  No candidate is simulated; one simulation of the "
+        "default configuration calibrates each row.",
+    )
+    sub.add_argument(
         "benchmarks", nargs="+",
         help="registered benchmark name(s) to advise on",
     )
-    parser.add_argument(
-        "--config", default="WASP_GPU",
-        help="evaluation configuration name (default: WASP_GPU)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (default 0.25)",
-    )
-    parser.add_argument(
+    _add_config(sub)
+    _add_scale(sub)
+    sub.add_argument(
         "--margin", type=float, default=None,
         help="minimum predicted relative gain before suggesting a "
              "non-default configuration (default: the calibrated "
              "SUGGESTION_MARGIN)",
     )
-    parser.add_argument(
-        "--no-simulate", action="store_true",
-        help="skip the per-kernel calibration simulation (pure static "
-             "mode; rows carry no predicted-vs-simulated error)",
+    _flag(sub, "--no-simulate", "skip the per-kernel calibration "
+          "simulation (pure static mode; rows carry no "
+          "predicted-vs-simulated error)")
+    _path(sub, "--json-out", "write the advise report as JSON (schema "
+          "repro-advise-report-v1)")
+    _add_run_flags(sub)
+
+    sub = _command(
+        commands, "corediff", "Reference-vs-event core differential",
+        _sweep("repro.sim.differential", "COREDIFF"),
+        "Reference-vs-event SM core differential: replay the fuzz corpus "
+        "and/or the kernel registry through both simulator cores and "
+        "demand bit-identical results (CI's core-differential gate).",
     )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the advise report as JSON "
-             "(schema repro-advise-report-v1)",
+    _add_differential_flags(sub)
+
+    sub = _command(
+        commands, "racediff", "Sanitizer-vs-static race differential",
+        _sweep("repro.analysis.racediff", "RACEDIFF"),
+        "Static-vs-dynamic race differential: run the fuzz corpus and/or "
+        "the kernel registry with the vector-clock SMEM sanitizer "
+        "attached and require every observed race to be flagged by the "
+        "static happens-before engine (CI's race-analysis trust gate, "
+        "the analysis counterpart of corediff).",
     )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
+    _add_differential_flags(sub)
+
+    sub = _command(
+        commands, "metrics", "Telemetry snapshot smoke run", run_metrics,
+        "Telemetry smoke run: execute a small sweep with the metrics "
+        "registry enabled and emit the repro-metrics-v1 snapshot (JSON "
+        "and/or Prometheus text format).  Covers the event core, cache, "
+        "process-pool and pass-timing metric families.",
+    )
+    sub.add_argument(
+        "--benchmarks", nargs="*", default=["pointnet"],
+        help="benchmarks to sweep for the snapshot (default: pointnet)",
+    )
+    _add_scale(sub)
+    _add_jobs(sub, "; invariant counters are identical for any value")
+    _path(sub, "--json-out", "write the repro-metrics-v1 JSON snapshot "
+          "here")
+    _path(sub, "--prom-out", "write the Prometheus text exposition here")
+    _add_run_flags(sub, metrics=False)
+
+    bench = _command(commands, "bench", "Perf-trajectory dashboard", None)
+    sub = bench.add_subparsers(
+        dest="bench_command", metavar="report", required=True
+    ).add_parser(
+        "report",
+        description="Perf-trajectory dashboard: read every committed "
+                    "BENCH_*.json (plus an optional freshly measured "
+                    "run) and render a per-benchmark regression table "
+                    "on calibration-normalized wall-clock.",
+    )
+    sub.set_defaults(run=run_bench_report)
+    sub.add_argument(
+        "--dir", default=".", metavar="DIR",
+        help="directory holding the BENCH_*.json files (default: .)",
+    )
+    _path(sub, "--current", "a freshly measured perf-harness document to "
+          "diff against the committed baseline (write one with "
+          "'python -m benchmarks.perf.run --output PATH')")
+    sub.add_argument(
+        "--baseline", default="BENCH_core", metavar="STEM",
+        help="committed file to diff against (default: BENCH_core)",
+    )
+    sub.add_argument(
+        "--tolerance", type=float, default=0.2,
+        help="normalized regression threshold (default 0.2 = 20%%)",
+    )
+    _path(sub, "--json-out", "write the repro-bench-report-v1 document as "
+          "JSON")
     return parser
 
 
-def run_advise(argv: list[str]) -> int:
+def _list(commands) -> int:
+    """``repro list``: the artifacts, then every other subcommand."""
+    width = max(len(k) for k in _ARTIFACTS)
+    for key in sorted(_ARTIFACTS):
+        print(f"  {key.ljust(width)}  {_ARTIFACTS[key]}")
+    print()
+    for name, sub in commands.choices.items():
+        if name not in _ARTIFACTS and name not in ("list", "all"):
+            print(f"  {name.ljust(8)}  {sub.get_default('summary')} "
+                  f"({sub.prog} --help)")
+    return 0
+
+
+def run_advise(args: argparse.Namespace) -> int:
     """``repro advise <workload>``: analytical configuration advice."""
-    args = build_advise_parser().parse_args(argv)
-    _configure_cache(args)
-    _enable_metrics(args)
-
     from repro.analysis.perfmodel import SUGGESTION_MARGIN, advise_workload
-    from repro.workloads.registry import all_benchmarks
 
-    known = set(all_benchmarks())
-    unknown = [n for n in args.benchmarks if n not in known]
-    if unknown:
-        raise SystemExit(
-            f"unknown benchmark(s) {unknown}; choose from: "
-            + ", ".join(sorted(known))
-        )
+    check_benchmarks(args.benchmarks)
     config = _named_config(args.config)
     margin = args.margin if args.margin is not None else SUGGESTION_MARGIN
 
@@ -409,17 +483,16 @@ def run_advise(argv: list[str]) -> int:
                 "reports": [r.to_json() for r in reports],
             }
         )
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-        print(f"[wrote advise JSON to {args.json_out}]")
+        write_json(args.json_out, doc, "advise JSON")
     total = sum(len(r.kernels) for r in reports)
     print(f"[advised {total} kernel(s) in {time.time() - start:.1f}s]")
-    _write_metrics(args, "advise")
     return 0
 
 
 def _advise_text(report) -> str:
     """Human-readable rendering of one workload's advice."""
+    from repro.core.compiler.pipeline import options_delta
+
     lines = [f"advise: {report.workload} [{report.config_name}]"]
     for advice in report.kernels:
         lines.append(f"  {advice.kernel_name}:")
@@ -440,8 +513,6 @@ def _advise_text(report) -> str:
         if advice.suggestion is None:
             lines.append("    suggestion: keep the default options")
             if advice.rejected_suggestion is not None:
-                from repro.core.compiler.pipeline import options_delta
-
                 delta = options_delta(
                     advice.default_options,
                     advice.rejected_suggestion.options,
@@ -452,8 +523,6 @@ def _advise_text(report) -> str:
                     f"cycles, slower than the default)"
                 )
         else:
-            from repro.core.compiler.pipeline import options_delta
-
             delta = options_delta(
                 advice.default_options, advice.suggestion.options
             )
@@ -470,84 +539,8 @@ def _advise_text(report) -> str:
     return "\n".join(lines)
 
 
-def build_fuzz_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro fuzz",
-        description="Differential fuzzing: random pipeline kernels run "
-                    "unspecialized and after WaspCompiler stage-splitting "
-                    "must produce bit-identical memory, consistent "
-                    "instruction accounting, and obey the simulator's "
-                    "metamorphic timing invariants.  Failing seeds are "
-                    "shrunk to minimal repros.  Exits non-zero on any "
-                    "failure (inverted by --expect-failures).",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=100,
-        help="number of seeds to fuzz (default 100)",
-    )
-    parser.add_argument(
-        "--seed-base", type=int, default=0,
-        help="first seed; the run covers seed-base .. seed-base+seeds-1",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS or 1); results are "
-             "identical for any value",
-    )
-    parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="report failures without minimizing them first",
-    )
-    parser.add_argument(
-        "--no-metamorphic", action="store_true",
-        help="skip the simulator timing invariants (differential "
-             "functional oracle only)",
-    )
-    parser.add_argument(
-        "--inject", default=None, metavar="MUTATION",
-        help="corrupt every specialized program with a named mutation "
-             "(drop-pop, drop-push, arrive-to-wait) — the oracle "
-             "self-test; combine with --expect-failures",
-    )
-    parser.add_argument(
-        "--expect-failures", action="store_true",
-        help="invert the exit code: succeed only when failures were "
-             "caught (CI uses this to prove the oracle detects "
-             "injected bugs)",
-    )
-    parser.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop dispatching new seeds after this much wall-clock "
-             "time (the nightly CI budget)",
-    )
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="replay every committed corpus entry instead of fuzzing "
-             "fresh seeds",
-    )
-    parser.add_argument(
-        "--save-corpus", action="store_true",
-        help="persist (minimized) failures as corpus entries",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="corpus directory (default: tests/corpus/)",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the fuzz report as machine-readable JSON",
-    )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
-    return parser
-
-
-def run_fuzz_cli(argv: list[str]) -> int:
+def run_fuzz_cli(args: argparse.Namespace) -> int:
     """``repro fuzz``: the differential fuzzing harness."""
-    args = build_fuzz_parser().parse_args(argv)
-    _configure_cache(args)
-    _enable_metrics(args)
-
     from pathlib import Path
 
     from repro.fuzz import run_fuzz
@@ -578,10 +571,7 @@ def run_fuzz_cli(argv: list[str]) -> int:
     for path in report.corpus_paths:
         print(f"[saved corpus entry {path}]")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-        print(f"[wrote fuzz JSON to {args.json_out}]")
-    _write_metrics(args, "fuzz")
+        write_json(args.json_out, report.to_json(), "fuzz JSON")
     failed = bool(report.failures) or report.seeds_run == 0
     if args.expect_failures:
         if failed:
@@ -623,390 +613,22 @@ def _replay_corpus(corpus_dir, json_out: str | None) -> int:
     print(f"corpus: {len(entries) - bad}/{len(entries)} entries hold "
           f"({time.time() - start:.1f}s)")
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as handle:
-            json.dump({"entries": docs}, handle, indent=2)
-        print(f"[wrote corpus JSON to {json_out}]")
+        write_json(json_out, {"entries": docs}, "corpus JSON")
     return 1 if bad else 0
 
 
-def build_corediff_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro corediff",
-        description="Reference-vs-event SM core differential: replay "
-                    "the fuzz corpus and/or the kernel registry through "
-                    "both simulator cores and demand bit-identical "
-                    "results (CI's core-differential gate).",
-    )
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="diff the committed fuzz corpus specs (default: corpus "
-             "and registry when neither flag is given)",
-    )
-    parser.add_argument(
-        "--registry", action="store_true",
-        help="diff every registry kernel under the standard "
-             "evaluation configs",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=0, metavar="N",
-        help="additionally diff N freshly generated fuzz specs",
-    )
-    parser.add_argument(
-        "--seed-base", type=int, default=0, metavar="B",
-        help="first seed for --seeds (default 0)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="registry problem-size scale (default 0.25)",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="corpus directory (default: tests/corpus/)",
-    )
-    _add_depths_flag(parser)
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the per-comparison report as JSON",
-    )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
-    return parser
-
-
-def _add_depths_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--depths", default="2", metavar="N[,N...]",
-        help="circular-buffer pipeline depths for the registry sweep "
-             "(comma-separated, default 2; deeper rings re-derive "
-             "every compiler-enabled config)",
-    )
-
-
-def _depth_configs(configs: list, depths: list[int]) -> list:
-    """Expand evaluation configs across circular-buffer depths.
-
-    Depth 2 keeps the configs verbatim (the historical sweep); deeper
-    rings re-derive each compiler-enabled config with
-    ``pipeline_depth=d``.  Baseline-style configs have no compiler to
-    deepen and only appear at depth 2.
-    """
-    from dataclasses import replace
-
-    out = []
-    for depth in depths:
-        for config in configs:
-            if depth == 2:
-                out.append(config)
-            elif config.compiler is not None:
-                out.append(replace(
-                    config,
-                    name=f"{config.name}@d{depth}",
-                    compiler=replace(
-                        config.compiler, pipeline_depth=depth
-                    ),
-                ))
-    return out
-
-
-def run_corediff(argv: list[str]) -> int:
-    """``repro corediff``: the event-core exactness gate."""
-    args = build_corediff_parser().parse_args(argv)
-    _configure_cache(args)
-    _enable_metrics(args)
-
-    from pathlib import Path
-
-    from repro.fuzz.spec import generate_spec
-    from repro.sim.differential import diff_registry_kernel, diff_spec
-
-    do_corpus = args.corpus or not (args.corpus or args.registry
-                                    or args.seeds)
-    do_registry = args.registry or not (args.corpus or args.registry
-                                        or args.seeds)
-    start = time.time()
-    diffs = []
-
-    if do_corpus:
-        from repro.fuzz.corpus import load_corpus
-
-        corpus_dir = Path(args.corpus_dir) if args.corpus_dir else None
-        entries = load_corpus(corpus_dir)
-        for entry in entries:
-            diffs.extend(diff_spec(entry.spec))
-        print(f"[corpus: {len(entries)} entries diffed]")
-
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        diffs.extend(diff_spec(generate_spec(seed)))
-    if args.seeds:
-        print(f"[seeds: {args.seeds} specs diffed]")
-
-    if do_registry:
-        from repro.experiments.configs import standard_configs
-        from repro.workloads.registry import all_benchmarks, get_benchmark
-
-        configs = _depth_configs(
-            standard_configs(),
-            [int(d) for d in args.depths.split(",")],
-        )
-        count = 0
-        for name in all_benchmarks():
-            bench = get_benchmark(name, scale=args.scale)
-            for kernel in bench.kernels:
-                for config in configs:
-                    diffs.extend(diff_registry_kernel(kernel, config))
-                    count += 1
-        print(f"[registry: {count} kernel/config pairs diffed]")
-
-    bad = [d for d in diffs if not d.ok]
-    for diff in bad:
-        print(f"MISMATCH {diff.label}")
-        for line in diff.mismatches:
-            print(f"  {line}")
-    ref_wall = sum(d.ref_wall_s for d in diffs)
-    event_wall = sum(d.event_wall_s for d in diffs)
-    print(_corediff_perf_text(diffs))
-    print(
-        f"corediff: {len(diffs) - len(bad)}/{len(diffs)} comparisons "
-        f"bit-identical ({time.time() - start:.1f}s; reference "
-        f"{ref_wall:.2f}s vs event {event_wall:.2f}s"
-        + (f", event {ref_wall / event_wall:.2f}x faster overall)"
-           if event_wall > 0 else ")")
-    )
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "comparisons": [d.to_json() for d in diffs],
-                    "ref_wall_s": round(ref_wall, 4),
-                    "event_wall_s": round(event_wall, 4),
-                    "overall_speedup": round(
-                        ref_wall / event_wall, 3
-                    ) if event_wall > 0 else 0.0,
-                },
-                handle, indent=2,
-            )
-        print(f"[wrote corediff JSON to {args.json_out}]")
-    _write_metrics(args, "corediff")
-    return 1 if bad or not diffs else 0
-
-
-def _corediff_perf_text(diffs) -> str:
-    """Per-kernel wall-time table: the slowest event-core comparisons
-    with the per-comparison speedup over the reference core."""
-    from repro.experiments.reporting import format_table
-
-    slowest = sorted(
-        diffs, key=lambda d: d.event_wall_s, reverse=True
-    )[:10]
-    rows = [
-        [
-            d.label,
-            f"{d.ref_wall_s * 1e3:.1f}",
-            f"{d.event_wall_s * 1e3:.1f}",
-            f"{d.speedup:.2f}x",
-            d.event_issued,
-            d.event_events,
-        ]
-        for d in slowest
-    ]
-    return format_table(
-        ["comparison", "ref ms", "event ms", "speedup", "issued",
-         "events"],
-        rows,
-        title="Per-core wall time (slowest 10 comparisons)",
-    )
-
-
-def build_racediff_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro racediff",
-        description="Static-vs-dynamic race differential: run the fuzz "
-                    "corpus and/or the kernel registry with the "
-                    "vector-clock SMEM sanitizer attached and require "
-                    "every observed race to be flagged by the static "
-                    "happens-before engine (CI's race-analysis trust "
-                    "gate, the analysis counterpart of corediff).",
-    )
-    parser.add_argument(
-        "--corpus", action="store_true",
-        help="diff the committed fuzz corpus specs (default: corpus "
-             "and registry when neither flag is given)",
-    )
-    parser.add_argument(
-        "--registry", action="store_true",
-        help="diff every registry kernel under the standard "
-             "evaluation configs",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=0, metavar="N",
-        help="additionally diff N freshly generated fuzz specs",
-    )
-    parser.add_argument(
-        "--seed-base", type=int, default=0, metavar="B",
-        help="first seed for --seeds (default 0)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="registry problem-size scale (default 0.25)",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="corpus directory (default: tests/corpus/)",
-    )
-    _add_depths_flag(parser)
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the per-comparison report as JSON",
-    )
-    _add_metrics_flags(parser)
-    _add_cache_flags(parser)
-    return parser
-
-
-def run_racediff(argv: list[str]) -> int:
-    """``repro racediff``: the sanitizer-vs-static race gate."""
-    args = build_racediff_parser().parse_args(argv)
-    _configure_cache(args)
-    _enable_metrics(args)
-
-    from pathlib import Path
-
-    from repro.analysis.racediff import (
-        RACEDIFF_SCHEMA,
-        racediff_registry_kernel,
-        racediff_spec,
-    )
-    from repro.fuzz.spec import generate_spec
-
-    do_corpus = args.corpus or not (args.corpus or args.registry
-                                    or args.seeds)
-    do_registry = args.registry or not (args.corpus or args.registry
-                                        or args.seeds)
-    start = time.time()
-    diffs = []
-
-    if do_corpus:
-        from repro.fuzz.corpus import load_corpus
-
-        corpus_dir = Path(args.corpus_dir) if args.corpus_dir else None
-        entries = load_corpus(corpus_dir)
-        # Injected-corruption entries replay a deliberately broken
-        # program; the fuzz oracle owns those expectations.
-        specs = [e.spec for e in entries if e.inject is None]
-        for spec in specs:
-            diffs.extend(racediff_spec(spec))
-        print(f"[corpus: {len(specs)} specs diffed]")
-
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        diffs.extend(racediff_spec(generate_spec(seed)))
-    if args.seeds:
-        print(f"[seeds: {args.seeds} specs diffed]")
-
-    if do_registry:
-        from repro.experiments.configs import standard_configs
-        from repro.workloads.registry import all_benchmarks, get_benchmark
-
-        configs = _depth_configs(
-            standard_configs(),
-            [int(d) for d in args.depths.split(",")],
-        )
-        count = 0
-        for name in all_benchmarks():
-            bench = get_benchmark(name, scale=args.scale)
-            for kernel in bench.kernels:
-                for config in configs:
-                    diffs.extend(
-                        racediff_registry_kernel(kernel, config)
-                    )
-                    count += 1
-        print(f"[registry: {count} kernel/config pairs diffed]")
-
-    bad = [d for d in diffs if not d.ok]
-    for diff in bad:
-        print(f"STATIC FALSE NEGATIVE {diff.label}")
-        for line in diff.missing:
-            print(f"  {line}")
-    skipped = sum(1 for d in diffs if d.skipped)
-    dynamic = sum(d.num_dynamic for d in diffs)
-    print(
-        f"racediff: {len(diffs) - len(bad)}/{len(diffs)} comparisons "
-        f"agree ({dynamic} dynamic race(s) observed, {skipped} "
-        f"skipped; {time.time() - start:.1f}s)"
-    )
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "schema": RACEDIFF_SCHEMA,
-                    "comparisons": [d.to_json() for d in diffs],
-                },
-                handle, indent=2,
-            )
-        print(f"[wrote racediff JSON to {args.json_out}]")
-    _write_metrics(args, "racediff")
-    return 1 if bad or not diffs else 0
-
-
-def build_metrics_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro metrics",
-        description="Telemetry smoke run: execute a small sweep with "
-                    "the metrics registry enabled and emit the "
-                    "repro-metrics-v1 snapshot (JSON and/or Prometheus "
-                    "text format).  Covers the event core, cache, "
-                    "process-pool and pass-timing metric families.",
-    )
-    parser.add_argument(
-        "--benchmarks", nargs="*", default=["pointnet"],
-        help="benchmarks to sweep for the snapshot (default: pointnet)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (default 0.25)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS or 1); invariant "
-             "counters are identical for any value",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the repro-metrics-v1 JSON snapshot here",
-    )
-    parser.add_argument(
-        "--prom-out", default=None, metavar="PATH",
-        help="write the Prometheus text exposition here",
-    )
-    _add_cache_flags(parser)
-    return parser
-
-
-def run_metrics(argv: list[str]) -> int:
+def run_metrics(args: argparse.Namespace) -> int:
     """``repro metrics``: telemetry-enabled smoke sweep + snapshot."""
-    args = build_metrics_parser().parse_args(argv)
-    _configure_cache(args)
-
     from repro.experiments.configs import standard_configs
     from repro.experiments.parallel import run_sweep
     from repro.telemetry.registry import TELEMETRY
     from repro.telemetry.snapshot import (
-        build_metrics_document,
         missing_families,
         render_prometheus,
         validate_metrics_document,
-        write_metrics_outputs,
     )
-    from repro.telemetry.spans import SPANS
-    from repro.workloads.registry import all_benchmarks
 
-    known = set(all_benchmarks())
-    unknown = [n for n in args.benchmarks if n not in known]
-    if unknown:
-        raise SystemExit(
-            f"unknown benchmark(s) {unknown}; choose from: "
-            + ", ".join(sorted(known))
-        )
-
+    check_benchmarks(args.benchmarks)
     TELEMETRY.enable()
     start = time.time()
     configs = [
@@ -1015,19 +637,11 @@ def run_metrics(argv: list[str]) -> int:
     ] or standard_configs()[:1]
     run_sweep(args.benchmarks, args.scale, configs, jobs=args.jobs)
 
-    doc = build_metrics_document(
-        TELEMETRY.snapshot(), command="metrics", spans=SPANS
-    )
-    problems = validate_metrics_document(doc)
-    problems += [
+    doc = _write_metrics("metrics", args.json_out, args.prom_out)
+    problems = validate_metrics_document(doc) + [
         f"missing required metric family {prefix}*"
         for prefix in missing_families(doc)
     ]
-    write_metrics_outputs(doc, args.json_out, args.prom_out)
-    if args.json_out:
-        print(f"[wrote metrics JSON to {args.json_out}]")
-    if args.prom_out:
-        print(f"[wrote Prometheus metrics to {args.prom_out}]")
     if not args.json_out and not args.prom_out:
         print(render_prometheus(doc), end="")
     print(
@@ -1041,43 +655,8 @@ def run_metrics(argv: list[str]) -> int:
     return 1 if problems else 0
 
 
-def build_bench_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench report",
-        description="Perf-trajectory dashboard: read every committed "
-                    "BENCH_*.json (plus an optional freshly measured "
-                    "run) and render a per-benchmark regression table "
-                    "on calibration-normalized wall-clock.",
-    )
-    parser.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory holding the BENCH_*.json files (default: .)",
-    )
-    parser.add_argument(
-        "--current", default=None, metavar="PATH",
-        help="a freshly measured perf-harness document to diff "
-             "against the committed baseline (write one with "
-             "'python -m benchmarks.perf.run --output PATH')",
-    )
-    parser.add_argument(
-        "--baseline", default="BENCH_core", metavar="STEM",
-        help="committed file to diff against (default: BENCH_core)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="normalized regression threshold (default 0.2 = 20%%)",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the repro-bench-report-v1 document as JSON",
-    )
-    return parser
-
-
-def run_bench_report(argv: list[str]) -> int:
+def run_bench_report(args: argparse.Namespace) -> int:
     """``repro bench report``: the perf-trajectory dashboard."""
-    args = build_bench_report_parser().parse_args(argv)
-
     from repro.telemetry.trajectory import (
         build_bench_report,
         render_bench_report,
@@ -1098,134 +677,18 @@ def run_bench_report(argv: list[str]) -> int:
         return 1
     print(render_bench_report(report))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"[wrote bench report JSON to {args.json_out}]")
+        write_json(args.json_out, report, "bench report JSON")
     return 1 if report["summary"]["regressions"] else 0
 
 
-def run_lint(argv: list[str]) -> int:
+def _run_lint(args: argparse.Namespace) -> int:
     """``repro lint [benchmarks…]``: registry-wide static verification."""
-    args = build_lint_parser().parse_args(argv)
-
     if args.list_rules:
         from repro.analysis.diagnostics import rules_table_lines
 
         print("\n".join(rules_table_lines()))
         return 0
-
-    start = time.time()
-    if args.corpus:
-        from pathlib import Path
-
-        from repro.analysis.lint import lint_corpus
-
-        corpus_dir = Path(args.corpus_dir) if args.corpus_dir else None
-        result = lint_corpus(corpus_dir, validate=args.validate)
-    else:
-        from repro.analysis.lint import lint_benchmarks
-        from repro.workloads.registry import all_benchmarks
-
-        known = set(all_benchmarks())
-        names = (
-            None if args.all or not args.benchmarks else args.benchmarks
-        )
-        if names:
-            unknown = [n for n in names if n not in known]
-            if unknown:
-                raise SystemExit(
-                    f"unknown benchmark(s) {unknown}; choose from: "
-                    + ", ".join(sorted(known))
-                )
-        result = lint_benchmarks(
-            names, scale=args.scale, validate=args.validate
-        )
-    print(result.to_text(verbose=args.verbose))
-    print(f"[linted {len(result.kernels)} kernel(s) in "
-          f"{time.time() - start:.1f}s]")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(result.to_json(), handle, indent=2)
-        print(f"[wrote lint JSON to {args.json_out}]")
-    if args.sarif:
-        from repro.analysis.sarif import sarif_from_lint
-
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            json.dump(sarif_from_lint(result), handle, indent=2)
-        print(f"[wrote SARIF log to {args.sarif}]")
-    if not result.clean:
-        return 1
-    if args.strict and result.num_warnings:
-        return 1
-    return 0
-
-
-def run_validate(argv: list[str]) -> int:
-    """``repro validate``: execution-free equivalence certificates."""
-    args = build_validate_parser().parse_args(argv)
-
-    start = time.time()
-    if args.corpus:
-        from pathlib import Path
-
-        from repro.analysis.lint import validate_corpus
-
-        corpus_dir = Path(args.corpus_dir) if args.corpus_dir else None
-        result = validate_corpus(corpus_dir)
-    else:
-        from repro.analysis.lint import (
-            standard_option_sets,
-            validate_benchmarks,
-        )
-        from repro.workloads.registry import all_benchmarks
-
-        known = set(all_benchmarks())
-        names = (
-            None if args.all or not args.benchmarks else args.benchmarks
-        )
-        if names:
-            unknown = [n for n in names if n not in known]
-            if unknown:
-                raise SystemExit(
-                    f"unknown benchmark(s) {unknown}; choose from: "
-                    + ", ".join(sorted(known))
-                )
-        try:
-            depths = tuple(
-                int(d) for d in args.depths.split(",") if d
-            )
-        except ValueError:
-            raise SystemExit(f"bad --depths value {args.depths!r}")
-        standard = dict(standard_option_sets())
-        wanted = args.options.split(",")
-        if "standard" in wanted:
-            wanted = list(standard)
-        unknown_sets = [w for w in wanted if w not in standard]
-        if unknown_sets:
-            raise SystemExit(
-                f"unknown option set(s) {unknown_sets}; choose from: "
-                + ", ".join([*standard, "standard"])
-            )
-        result = validate_benchmarks(
-            names,
-            scale=args.scale,
-            option_sets=[(w, standard[w]) for w in wanted],
-            depths=depths,
-        )
-    print(result.to_text(verbose=args.verbose))
-    print(f"[validated {len(result.kernels)} compile(s) in "
-          f"{time.time() - start:.1f}s]")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(result.to_json(), handle, indent=2)
-        print(f"[wrote validation JSON to {args.json_out}]")
-    if args.sarif:
-        from repro.analysis.sarif import sarif_from_validate
-
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            json.dump(sarif_from_validate(result), handle, indent=2)
-        print(f"[wrote SARIF log to {args.sarif}]")
-    return 0 if result.clean else 1
+    return _sweep("repro.analysis.lint", "LINT")(args)
 
 
 def _configure_cache(args: argparse.Namespace) -> None:
@@ -1254,23 +717,17 @@ def _named_config(name: str):
     raise SystemExit(f"unknown config {name!r}; choose from: {names}")
 
 
-def run_profile(argv: list[str]) -> int:
+def run_profile(args: argparse.Namespace) -> int:
     """``repro profile <benchmark>``: per-kernel pipeline profiles."""
-    args = build_profile_parser().parse_args(argv)
-    _configure_cache(args)
-    _enable_metrics(args)
-
     from repro.experiments.runner import GLOBAL_CACHE, profile_kernel
     from repro.profiling import report as profreport
     from repro.profiling.chrometrace import write_chrome_trace
     from repro.telemetry.spans import SPANS
     from repro.workloads import get_benchmark
 
+    check_benchmarks([args.benchmark])
     config = _named_config(args.config)
-    try:
-        bench = get_benchmark(args.benchmark, args.scale)
-    except KeyError:
-        raise SystemExit(f"unknown benchmark {args.benchmark!r}")
+    bench = get_benchmark(args.benchmark, args.scale)
     kernels = bench.kernels
     if args.kernel is not None:
         kernels = [bench.kernel(args.kernel)]
@@ -1325,12 +782,9 @@ def run_profile(argv: list[str]) -> int:
             "kernels": docs,
             "trace_cache": profreport.cache_stats_json(cache_delta),
         }
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-        print(f"[wrote profile JSON to {args.json_out}]")
+        write_json(args.json_out, doc, "profile JSON")
     print(f"[profiled {len(kernels)} kernel(s) in "
           f"{time.time() - start:.1f}s]")
-    _write_metrics(args, "profile")
     return 0
 
 
@@ -1344,10 +798,7 @@ def _sanitize_summary(kernel, config) -> str:
     from dataclasses import replace
 
     from repro.errors import ReproError
-    from repro.experiments.runner import (
-        WaspCompiler,
-        _compiler_options_for,
-    )
+    from repro.experiments.runner import WaspCompiler, _compiler_options_for
     from repro.fexec.machine import run_kernel
 
     program, launch = kernel.program, kernel.launch
@@ -1433,9 +884,7 @@ def _run_one(artifact: str, args: argparse.Namespace) -> None:
 
             doc = sweep_stalls_json(report)
             doc["artifact"] = artifact
-            with open(args.profile_json, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2)
-            print(f"[wrote sweep profile JSON to {args.profile_json}]")
+            write_json(args.profile_json, doc, "sweep profile JSON")
     if getattr(args, "trace_out", None):
         _write_representative_trace(args)
 
@@ -1470,65 +919,30 @@ def _write_representative_trace(args: argparse.Namespace) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "profile":
-        return run_profile(argv[1:])
-    if argv and argv[0] == "lint":
-        return run_lint(argv[1:])
-    if argv and argv[0] == "validate":
-        return run_validate(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return run_fuzz_cli(argv[1:])
-    if argv and argv[0] == "advise":
-        return run_advise(argv[1:])
-    if argv and argv[0] == "corediff":
-        return run_corediff(argv[1:])
-    if argv and argv[0] == "racediff":
-        return run_racediff(argv[1:])
-    if argv and argv[0] == "metrics":
-        return run_metrics(argv[1:])
-    if argv and argv[0] == "bench":
-        if argv[1:2] == ["report"]:
-            return run_bench_report(argv[2:])
-        raise SystemExit("usage: repro bench report [--help]")
-    args = build_parser().parse_args(argv)
-    if args.artifact == "list":
-        width = max(len(k) for k in _ARTIFACTS)
-        for key in sorted(_ARTIFACTS):
-            print(f"  {key.ljust(width)}  {_ARTIFACTS[key]}")
-        print("\n  profile   Pipeline profiler "
-              "(repro profile --help)")
-        print("  lint      Static pipeline verifier "
-              "(repro lint --help)")
-        print("  validate  Translation validation certificates "
-              "(repro validate --help)")
-        print("  fuzz      Differential fuzzing harness "
-              "(repro fuzz --help)")
-        print("  advise    Analytical pipeline advisor "
-              "(repro advise --help)")
-        print("  corediff  Reference-vs-event core differential "
-              "(repro corediff --help)")
-        print("  racediff  Sanitizer-vs-static race differential "
-              "(repro racediff --help)")
-        print("  metrics   Telemetry snapshot smoke run "
-              "(repro metrics --help)")
-        print("  bench     Perf-trajectory dashboard "
-              "(repro bench report --help)")
-        return 0
-
-    _configure_cache(args)
-    _enable_metrics(args)
-
-    if args.artifact == "all":
-        for key in sorted(_ARTIFACTS):
-            _run_one(key, args)
+def _run_artifacts(args: argparse.Namespace) -> int:
+    """``repro <artifact>`` and ``repro all``."""
+    every = args.artifact == "all"
+    for key in sorted(_ARTIFACTS) if every else [args.artifact]:
+        _run_one(key, args)
+        if every:
             print()
-        _write_metrics(args, "all")
-        return 0
-    _run_one(args.artifact, args)
-    _write_metrics(args, args.artifact)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if "cache_dir" in args:
+        _configure_cache(args)
+    metrics_out = getattr(args, "metrics_out", None)
+    metrics_prom = getattr(args, "metrics_prom", None)
+    if metrics_out or metrics_prom:
+        from repro.telemetry.registry import TELEMETRY
+
+        TELEMETRY.enable()
+    code = args.run(args)
+    if metrics_out or metrics_prom:
+        _write_metrics(args.command, metrics_out, metrics_prom)
+    return code
 
 
 if __name__ == "__main__":

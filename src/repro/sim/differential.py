@@ -15,8 +15,9 @@ Consumers:
 
 * ``tests/test_core_differential.py`` — tier-1 coverage on small
   programs and a registry sample.
-* ``repro corediff`` (the CLI) — the full fuzz corpus plus the kernel
-  registry; CI's ``core-differential`` job gates on it.
+* ``repro corediff`` (the CLI, declared here as :data:`COREDIFF`) —
+  the full fuzz corpus plus the kernel registry; CI's
+  ``core-differential`` job gates on it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from repro.errors import CompilerError, ReproError, ResourceError
 from repro.fexec.trace import KernelTrace
 from repro.sim.config import GPUConfig, baseline_a100, wasp_gpu
 from repro.sim.gpu import make_simulator
+from repro.sweeps import Sweep, standard_configs_axis
 
 __all__ = [
+    "COREDIFF",
     "CoreDiff",
+    "CoreDiffReport",
     "diff_registry_kernel",
     "diff_spec",
     "diff_traces",
@@ -83,6 +87,66 @@ class CoreDiff:
             "event_issued": self.event_issued,
             "event_events": self.event_events,
             "mismatches": list(self.mismatches),
+        }
+
+
+@dataclass
+class CoreDiffReport:
+    """Every comparison of one ``repro corediff`` run."""
+
+    comparisons: list[CoreDiff]
+    num_warnings = 0
+
+    @property
+    def clean(self) -> bool:
+        return all(d.ok for d in self.comparisons)
+
+    def walls(self) -> tuple[float, float]:
+        """Total reference and event-core wall seconds."""
+        return (sum(d.ref_wall_s for d in self.comparisons),
+                sum(d.event_wall_s for d in self.comparisons))
+
+    def to_text(self, verbose: bool = False) -> str:
+        """Each mismatch, then the slowest event-core comparisons with
+        their speedup over the reference core."""
+        from repro.experiments.reporting import format_table
+
+        lines: list[str] = []
+        for diff in self.comparisons:
+            if not diff.ok:
+                lines.append(f"MISMATCH {diff.label}")
+                lines.extend(f"  {line}" for line in diff.mismatches)
+        slowest = sorted(
+            self.comparisons, key=lambda d: d.event_wall_s, reverse=True
+        )[:10]
+        lines.append(format_table(
+            ["comparison", "ref ms", "event ms", "speedup", "issued",
+             "events"],
+            [[d.label, f"{d.ref_wall_s * 1e3:.1f}",
+              f"{d.event_wall_s * 1e3:.1f}", f"{d.speedup:.2f}x",
+              d.event_issued, d.event_events] for d in slowest],
+            title="Per-core wall time (slowest 10 comparisons)",
+        ))
+        return "\n".join(lines)
+
+    def summary_line(self, elapsed: float) -> str:
+        (ref, event), n = self.walls(), len(self.comparisons)
+        ok = sum(1 for d in self.comparisons if d.ok)
+        return (
+            f"corediff: {ok}/{n} comparisons bit-identical "
+            f"({elapsed:.1f}s; reference {ref:.2f}s vs event "
+            f"{event:.2f}s"
+            + (f", event {ref / event:.2f}x faster overall)"
+               if event > 0 else ")")
+        )
+
+    def to_json(self) -> dict[str, object]:
+        ref, event = self.walls()
+        return {
+            "comparisons": [d.to_json() for d in self.comparisons],
+            "ref_wall_s": round(ref, 4),
+            "event_wall_s": round(event, 4),
+            "overall_speedup": round(ref / event, 3) if event > 0 else 0.0,
         }
 
 
@@ -259,3 +323,22 @@ def diff_registry_kernel(kernel, eval_config, cache=None) -> list[CoreDiff]:
                 f"{kernel.name}:{eval_config.name}:specialized",
             ))
     return diffs
+
+
+#: ``repro corediff``: corpus specs, fresh seeds, and registry kernels
+#: under the standard configs at each ring depth, through both cores.
+COREDIFF: Sweep[CoreDiff, CoreDiffReport] = Sweep(
+    label="corediff",
+    checks={
+        "corpus": lambda entry, args: diff_spec(entry.spec),
+        "seeds": lambda spec, args: diff_spec(spec),
+        "registry": lambda cell, args: diff_registry_kernel(
+            cell.kernel, cell.config()
+        ),
+    },
+    default_sources=("corpus", "registry"),
+    report=lambda scale, diffs: CoreDiffReport(diffs),
+    footer=CoreDiffReport.summary_line,
+    axis=standard_configs_axis,
+    tally="entries",
+)

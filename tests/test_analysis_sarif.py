@@ -23,7 +23,7 @@ from repro.analysis.sarif import (
     SARIF_VERSION,
     sarif_from_lint,
 )
-from repro.cli import run_lint
+from repro.cli import main
 
 
 def _report(*diags: Diagnostic) -> DiagnosticReport:
@@ -227,33 +227,32 @@ def _fake_lint(monkeypatch, severity: Severity):
     import repro.analysis.lint as lint_module
 
     monkeypatch.setattr(
-        lint_module, "lint_benchmarks",
-        lambda names, scale, validate=False: result,
+        lint_module, "lint_one", lambda *args, **kwargs: result.kernels[0],
     )
 
 
 def test_lint_warnings_exit_zero_without_strict(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.WARNING)
-    assert run_lint(["--all"]) == 0
+    assert main(["lint", "--all"]) == 0
     capsys.readouterr()
 
 
 def test_lint_warnings_exit_nonzero_with_strict(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.WARNING)
-    assert run_lint(["--all", "--strict"]) == 1
+    assert main(["lint", "--all", "--strict"]) == 1
     capsys.readouterr()
 
 
 def test_lint_errors_exit_nonzero_either_way(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.ERROR)
-    assert run_lint(["--all"]) == 1
+    assert main(["lint", "--all"]) == 1
     capsys.readouterr()
 
 
 def test_lint_sarif_flag_writes_the_log(monkeypatch, capsys, tmp_path):
     _fake_lint(monkeypatch, Severity.WARNING)
     out = tmp_path / "findings.sarif"
-    assert run_lint(["--all", "--sarif", str(out)]) == 0
+    assert main(["lint", "--all", "--sarif", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["version"] == "2.1.0"

@@ -1,11 +1,9 @@
-"""Energy proxy and chip-level wrapper."""
+"""Energy proxy."""
 
 import pytest
 
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
-from repro.errors import SimulationError
 from repro.fexec import run_kernel
-from repro.sim.chip import ChipResult, estimate_chip_time, partition_blocks
 from repro.sim.config import baseline_a100, wasp_gpu
 from repro.sim.energy import EnergyModel, estimate_energy, simulate_with_energy
 
@@ -73,36 +71,3 @@ def test_estimate_energy_scales_with_model():
     )
     assert double.dram == pytest.approx(2 * small.dram)
 
-
-def test_partition_blocks_round_robin():
-    parts = partition_blocks(10, 4)
-    assert [len(p) for p in parts] == [3, 3, 2, 2]
-    assert parts[0] == [0, 4, 8]
-    with pytest.raises(SimulationError):
-        partition_blocks(0, 4)
-
-
-def test_partition_fewer_blocks_than_sms():
-    parts = partition_blocks(3, 8)
-    assert len(parts) == 3
-    assert all(len(p) == 1 for p in parts)
-
-
-def test_chip_estimate_scales_with_grid(stream_setup):
-    program, image_factory, launch, _ = stream_setup
-    traces = _traces(program, image_factory, launch)
-    small = estimate_chip_time(traces, baseline_a100(), num_sms=108,
-                               grid_blocks=432)
-    big = estimate_chip_time(traces, baseline_a100(), num_sms=108,
-                             grid_blocks=432 * 8)
-    assert isinstance(small, ChipResult)
-    assert small.blocks_per_sm == 4
-    assert big.blocks_per_sm == 32
-    # Work scales linearly; once occupancy saturates, time must grow.
-    assert big.sm_result.issued_total == 8 * small.sm_result.issued_total
-    assert big.cycles > small.cycles
-
-
-def test_chip_estimate_rejects_empty():
-    with pytest.raises(SimulationError):
-        estimate_chip_time([], baseline_a100())

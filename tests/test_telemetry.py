@@ -563,31 +563,32 @@ def test_check_telemetry_overhead_gate():
 
 
 def test_cli_bench_report(tmp_path, capsys):
-    from repro.cli import run_bench_report
+    from repro.cli import main
 
     (tmp_path / "BENCH_core.json").write_text(
         json.dumps(_bench_doc({"a/ev": 10.0}))
     )
     out_path = tmp_path / "report.json"
-    rc = run_bench_report([
+    rc = main([
+        "bench", "report",
         "--dir", str(tmp_path), "--json-out", str(out_path),
     ])
     assert rc == 0
     assert "Perf trajectory" in capsys.readouterr().out
     doc = json.loads(out_path.read_text())
     assert doc["schema"] == "repro-bench-report-v1"
-    assert run_bench_report(["--dir", str(tmp_path / "empty")]) == 1
+    assert main(["bench", "report", "--dir", str(tmp_path / "empty")]) == 1
 
 
 def test_cli_metrics_snapshot(tmp_path, capsys, clean_telemetry,
                               isolated_cache):
-    from repro.cli import run_metrics
+    from repro.cli import main
     from repro.telemetry.snapshot import main as validate_main
 
     json_path = tmp_path / "metrics.json"
     prom_path = tmp_path / "metrics.prom"
-    rc = run_metrics([
-        "--benchmarks", "pointnet", "--scale", "0.1",
+    rc = main([
+        "metrics", "--benchmarks", "pointnet", "--scale", "0.1",
         "--json-out", str(json_path), "--prom-out", str(prom_path),
         "--cache-dir", str(tmp_path / "cache"),
     ])

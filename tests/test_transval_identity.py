@@ -15,8 +15,8 @@ Two families are pinned:
   recurrence tables, abstentions, queue issues and the threaded
   queue/SMEM environment);
 * the six injected-corruption corpus entries: the raw
-  ``validate_programs`` report, taken before ``validate_corpus`` flips
-  a flagged corruption into a passing outcome.
+  ``validate_programs`` report, taken before ``repro validate --corpus``
+  flips a flagged corruption into a passing outcome.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def registry_digest(bench: str, kernel_name: str, options_name: str) -> str:
 
 def mutant_digests() -> dict[str, str]:
     """Raw reports of the injected corpus entries, in the same compile
-    order as :func:`repro.analysis.lint.validate_corpus`."""
+    order as ``repro validate --corpus``."""
     out: dict[str, str] = {}
     for entry in load_corpus():
         if entry.inject is None:
