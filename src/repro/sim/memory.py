@@ -74,7 +74,14 @@ class MemorySystem:
         """A warp-wide global access; ready when the last sector lands."""
         if not sectors:
             return now + self.config.l1_latency
-        return max(self.access_sector(now, s) for s in sectors)
+        access = self.access_sector
+        sector_times = iter(sectors)
+        ready = access(now, next(sector_times))
+        for sector in sector_times:
+            landed = access(now, sector)
+            if landed > ready:
+                ready = landed
+        return ready
 
     def access_smem(self, now: float, words: int) -> float:
         """A warp-wide shared-memory access."""

@@ -39,7 +39,11 @@ class TimelineBucket:
 
 @dataclass
 class SMStats:
-    """Counters accumulated by the SM core loop."""
+    """Counters of one SM core run.
+
+    The core loop counts into int-indexed lists and fills these fields
+    once, when the run ends (``SMSimulator._harvest_stats``).
+    """
 
     cycles: float = 0.0
     issued_total: int = 0
@@ -60,39 +64,6 @@ class SMStats:
     #: split intervals could still match ``stall_cycles`` totals, but
     #: not this.
     stall_spans: int = 0
-
-    def count_issue(
-        self, time: float, category: InstrCategory, stage: int, tensor_fp: bool
-    ) -> None:
-        self.issued_total += 1
-        self.active_warp_cycles += 1.0
-        self.issued_by_category[category] = (
-            self.issued_by_category.get(category, 0) + 1
-        )
-        self.issued_by_stage[stage] = self.issued_by_stage.get(stage, 0) + 1
-        index = int(time) // TIMELINE_BUCKET
-        bucket = self.timeline.get(index)
-        if bucket is None:
-            bucket = self.timeline[index] = TimelineBucket()
-        bucket.issued += 1
-        if tensor_fp:
-            bucket.tensor_fp_issued += 1
-
-    def count_sectors(self, time: float, count: int) -> None:
-        index = int(time) // TIMELINE_BUCKET
-        bucket = self.timeline.get(index)
-        if bucket is None:
-            bucket = self.timeline[index] = TimelineBucket()
-        bucket.sectors += count
-
-    def count_stall(
-        self, stage: int, cause: StallCause, cycles: float
-    ) -> None:
-        """Charge ``cycles`` of one warp's time to ``cause``."""
-        key = (stage, cause)
-        self.stall_cycles[key] = self.stall_cycles.get(key, 0.0) + cycles
-        self.active_warp_cycles += cycles
-        self.stall_spans += 1
 
 
 @dataclass

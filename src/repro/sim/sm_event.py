@@ -71,12 +71,13 @@ from operator import attrgetter
 
 from repro.errors import SimulationError
 from repro.fexec.trace import KernelTrace
-from repro.isa.opcodes import Opcode
-from repro.profiling.stalls import StallCause
 from repro.sim.barriers import INFINITY
 from repro.sim.events import WakeupHeap
 from repro.sim.results import SMStats
-from repro.sim.sm import _GTO_KEY, SMSimulator, _ResidentTB, _WarpRun
+from repro.sim.sm import (
+    _BAR_SYNC, _BAR_WAIT, _GTO_KEY, _ISSUE_PORT, SMSimulator, _ResidentTB,
+    _WarpRun,
+)
 from repro.telemetry.registry import (
     CYCLES_BUCKETS, DEPTH_BUCKETS, TELEMETRY,
 )
@@ -199,34 +200,35 @@ class EventSMSimulator(SMSimulator):
         first infinite condition found here is the one that blocked
         the poll (same evaluation order).
         """
-        instr = warp.current()
-        if instr is None:  # defensive: _can_issue marks these done
+        op = warp.current()
+        if op is None:  # defensive: _can_issue marks these done
             warp.done = True
             self._dead_tbs.add(warp.tb)
             return
+        kind, _lat, _cat, _tfp, _src, pop, push, instr = op
         hook = self._wake_list
-        if instr.queue_pop is not None:
-            chan = warp.tb.queues.channel(instr.queue_pop, warp.slice_id)
+        if pop is not None:
+            chan = warp.tb.queues.channel(pop, warp.slice_id)
             if chan.head_ready_time() is None:
                 chan.wake_hook = hook
                 chan.empty_waiters.append(warp)
                 self._tel_reg_queue_empty += 1
                 return
-        if instr.queue_push is not None:
-            chan = warp.tb.queues.channel(instr.queue_push, warp.slice_id)
+        if push is not None:
+            chan = warp.tb.queues.channel(push, warp.slice_id)
             if not chan.can_push():
                 chan.wake_hook = hook
                 chan.full_waiters.append(warp)
                 self._tel_reg_queue_full += 1
                 return
-        if instr.opcode is Opcode.BAR_WAIT:
+        if kind == _BAR_WAIT:
             barrier = warp.tb.barriers.arrive_wait(instr.barrier_id)
             if barrier.wait_pass_time(warp.key) == INFINITY:
                 barrier.wake_hook = hook
                 barrier.waiters.append(warp)
                 self._tel_reg_barrier += 1
                 return
-        if instr.opcode is Opcode.BAR_SYNC:
+        if kind == _BAR_SYNC:
             barrier = warp.tb.barriers.sync(instr.barrier_id)
             if barrier.pass_time(warp.key) == INFINITY:
                 barrier.wake_hook = hook
@@ -333,7 +335,7 @@ class EventSMSimulator(SMSimulator):
                     stole, unconsumed = self._steal_issue(idle, losers, now)
                     issued_any |= stole
                 for _key, _tie, warp in losers[unconsumed:]:
-                    self._note_stall(warp, now, StallCause.ISSUE_PORT)
+                    self._note_stall(warp, now, _ISSUE_PORT)
                 losers.clear()
             self._retire_finished(now)
             if not self._resident and not self._pending:
@@ -369,6 +371,7 @@ class EventSMSimulator(SMSimulator):
         self._tel_cycles = guard
         if prof is not None:
             prof.finalize(self.stats.cycles)
+        self._harvest_stats()
         self._harvest_telemetry()
         return self.stats
 
