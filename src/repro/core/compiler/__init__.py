@@ -8,21 +8,21 @@ consumes.
 
 Pipeline (``WaspCompiler.compile``):
 
-1. :mod:`repro.core.compiler.pdg` — reaching-definition data dependences
-   over the CFG.
-2. :mod:`repro.core.compiler.backslice` — backward slices, terminated at
+1. :mod:`repro.core.compiler.buffering` — LDGSTS fusion, sync-pair
+   tagging and N-slot circular buffering (Figure 10).
+2. :mod:`repro.core.compiler.pdg` — reaching-definition data dependences
+   over the CFG, built at most once per program version.
+3. :mod:`repro.core.compiler.backslice` — backward slices, terminated at
    upstream global loads.
-3. :mod:`repro.core.compiler.eligibility` — the paper's eligibility
+4. :mod:`repro.core.compiler.eligibility` — the paper's eligibility
    rules (no LDS in the backslice, no self-dependence cycle, plus the
    reproduction's single-consumer-stage rule).
-4. :mod:`repro.core.compiler.extraction` — two-phase stage extraction
+5. :mod:`repro.core.compiler.extraction` — two-phase stage extraction
    and indirection-depth analysis (Section IV-A, Figure 9).
-5. :mod:`repro.core.compiler.merging` — merge stages with equal memory
+6. :mod:`repro.core.compiler.merging` — merge stages with equal memory
    indirection to fit the SM's stage limit (Section IV-B).
-6. :mod:`repro.core.compiler.stagesplit` — per-stage program
+7. :mod:`repro.core.compiler.stagesplit` — per-stage program
    construction with queue rewiring and the replicated control skeleton.
-7. :mod:`repro.core.compiler.buffering` — LDGSTS fusion and
-   single/double-buffered arrive/wait barrier insertion (Figure 10).
 8. :mod:`repro.core.compiler.tma_offload` — affine-loop detection and
    WASP-TMA configuration-instruction substitution (Section III-E).
 9. :mod:`repro.core.compiler.regalloc` — per-stage register compaction.

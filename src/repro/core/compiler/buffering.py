@@ -30,22 +30,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.compiler.pdg import build_pdg
+from repro.core.compiler.pdg import PDG
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Immediate, Register
 from repro.isa.program import BasicBlock, Program
 
 
-def fuse_ldgsts(program: Program) -> int:
+def fuse_ldgsts(program: Program, pdg: PDG) -> int:
     """Fuse eligible LDG+STS pairs in place; returns fusions performed.
 
-    An LDG is fused when its value's only consumer is a single STS in
-    the same basic block using the value as its store operand and with
-    the same guard.  The LDGSTS takes the LDG's global address and the
-    STS's shared address, and inherits the STS's buffer tag.
+    ``pdg`` is ``program``'s dependence graph; it no longer describes
+    the program once a fusion is performed.  An LDG is fused when its
+    value's only consumer is a single STS in the same basic block using
+    the value as its store operand and with the same guard.  The LDGSTS
+    takes the LDG's global address and the STS's shared address, and
+    inherits the STS's buffer tag.
     """
-    pdg = build_pdg(program)
     fused = 0
     for load in list(pdg.global_loads()):
         if load.opcode is not Opcode.LDG or not isinstance(load.dst, Register):

@@ -356,11 +356,11 @@ class Program:
         return hashlib.sha256(data).hexdigest()
 
     def clone(self) -> "Program":
-        """Deep copy with fresh instruction uids preserved per-instruction.
+        """Deep copy in which every instruction gets a fresh uid.
 
-        Note: clones share no mutable state with the original, but
-        instruction uids are regenerated, so dependence graphs built on
-        the original do not apply to the clone.
+        Clones share no mutable state with the original, and because
+        instruction uids are regenerated, dependence graphs built on the
+        original do not apply to the clone.
         """
         copy = Program(
             name=self.name,

@@ -9,6 +9,7 @@ from repro.core.compiler.buffering import (
     innermost_loop,
     tag_tile_sync_pairs,
 )
+from repro.core.compiler.pdg import build_pdg
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.isa import Opcode, ProgramBuilder
 from tests.conftest import WIDTH, build_tile_program
@@ -39,7 +40,7 @@ def test_fuse_creates_ldgsts_from_ldg_sts_pair():
     b.sts(b.mov(0), v, buffer="buf")
     b.exit()
     prog = b.finish()
-    assert fuse_ldgsts(prog) == 1
+    assert fuse_ldgsts(prog, build_pdg(prog)) == 1
     opcodes = [i.opcode for i in prog.instructions()]
     assert Opcode.LDGSTS in opcodes
     assert Opcode.STS not in opcodes
@@ -58,7 +59,7 @@ def test_fuse_skips_value_with_extra_consumer():
     b.stg(b.mov(128), v)  # second consumer: fusion illegal
     b.exit()
     prog = b.finish()
-    assert fuse_ldgsts(prog) == 0
+    assert fuse_ldgsts(prog, build_pdg(prog)) == 0
 
 
 def test_fuse_skips_value_used_as_store_address():
@@ -67,12 +68,13 @@ def test_fuse_skips_value_used_as_store_address():
     v = b.ldg(b.mov(64))
     b.sts(v, b.mov(1.0), buffer="buf")  # v is the ADDRESS, not the value
     b.exit()
-    assert fuse_ldgsts(b.finish()) == 0
+    prog = b.finish()
+    assert fuse_ldgsts(prog, build_pdg(prog)) == 0
 
 
 def test_tag_tile_sync_pairs():
     prog = _tile_prog()
-    fuse_count = fuse_ldgsts(prog)
+    fuse_count = fuse_ldgsts(prog, build_pdg(prog))
     assert fuse_count == 0  # the builder already emits LDGSTS
     keys = tag_tile_sync_pairs(prog)
     assert keys == ["tile0"]

@@ -296,6 +296,26 @@ def test_chrome_trace_with_spans_validates():
     assert rows == {"toolchain: compiler", "toolchain: sim"}
 
 
+def test_compile_spans_and_pdg_counter(clean_telemetry):
+    """Every compile pass is spanned, and each PDG build is counted."""
+    from repro.core.compiler import WaspCompiler, WaspCompilerOptions
+    from repro.telemetry.spans import SPANS
+    from repro.workloads import get_benchmark
+
+    kernel = get_benchmark("pointnet", 0.25).kernel("ball_query_gather")
+    SPANS.clear()
+    result = WaspCompiler(
+        WaspCompilerOptions(verify=False, validate=False)
+    ).compile(kernel.program, kernel.launch.num_warps)
+    assert result.offload is not None and result.offload.gathers
+    names = {s.name for s in SPANS.by_subsystem()["compiler"]}
+    assert {"compile", "buffering", "plan_extraction", "stage_split",
+            "tma_offload", "finalize"} <= names
+    builds = clean_telemetry.counter("repro_compiler_pdg_builds_total")
+    # The working program once, then one graph per stage program.
+    assert builds.value == 1 + result.plan.num_stages
+
+
 # -- metrics document + Prometheus export -----------------------------------
 
 
