@@ -63,12 +63,6 @@ class ExtractionPlan:
     def compute_stage(self) -> int:
         return self.num_stages - 1
 
-    def plan_for(self, uid: int) -> LoadPlan | None:
-        for plan in self.loads:
-            if plan.load.uid == uid:
-                return plan
-        return None
-
 
 def _compute_depths(pdg: PDG) -> dict[int, int]:
     """Memory-indirection depth for every global load.
