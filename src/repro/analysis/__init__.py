@@ -1,11 +1,11 @@
 """Static pipeline verification for warp-specialized programs.
 
-Four passes over a :class:`~repro.isa.program.Program` (no execution):
+Three passes over a :class:`~repro.isa.program.Program` (no execution):
 
-* queue protocol (``WASP-Q*``) — single producer/consumer, per-iteration
-  push/pop balance, credit feasibility;
-* deadlock (``WASP-D*``) — stage/queue wait-for cycles, arrive/wait
-  pairing, barrier metadata;
+* queue/barrier protocol (``WASP-Q*``, ``WASP-D*``) — single
+  producer/consumer, per-iteration push/pop balance, credit
+  feasibility, stage/queue wait-for cycles, arrive/wait pairing,
+  barrier metadata;
 * SMEM races (``WASP-S*``) — cross-stage buffer access without an
   ordering barrier, double-buffer aware;
 * resources (``WASP-R*``/``WASP-C*``) — register budgets vs. the RF,

@@ -5,12 +5,13 @@ pipeline stage behind a jump table (``finalize_pipeline``).  Analyses
 operate per stage, so this module recovers that partition from the block
 labelling convention (``jump_table_<n>`` dispatch blocks, ``s<n>_...``
 stage sections) and offers reachability, natural-loop detection and
-bounded path enumeration over a stage's sub-CFG.
+exact per-iteration counts over a stage's innermost loops.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import Opcode
@@ -44,10 +45,6 @@ class StageSection:
     stage: int
     blocks: list[BasicBlock] = field(default_factory=list)
 
-    @property
-    def labels(self) -> set[str]:
-        return {b.label for b in self.blocks}
-
 
 @dataclass
 class ProgramView:
@@ -66,9 +63,6 @@ class ProgramView:
     def stages(self) -> list[int]:
         """Real stage ids (dispatch excluded), ascending."""
         return sorted(s for s in self.sections if s != DISPATCH)
-
-    def section(self, stage: int) -> StageSection:
-        return self.sections[stage]
 
     def stage_of_block(self, label: str) -> int:
         return stage_of_label(label)
@@ -146,40 +140,31 @@ def section_loops(view: ProgramView, stage: int) -> list[NaturalLoop]:
     return loops
 
 
-def enumerate_paths(
-    view: ProgramView,
-    start: str,
-    within: set[str],
-    max_paths: int = 256,
-) -> list[list[str]] | None:
-    """Acyclic paths from ``start`` staying inside ``within``.
+def iteration_counts(
+    view: ProgramView, loop: NaturalLoop, per_block: Mapping[str, int]
+) -> set[int]:
+    """Counts one complete iteration of an innermost loop can add up.
 
-    A path ends when it leaves ``within``, revisits a block (backedge)
-    or reaches a block with no successors.  Returns ``None`` when the
-    path count exceeds ``max_paths`` — callers should then fall back to
-    a summary-based check rather than exploding.
+    A complete iteration starts at the head and ends at a block that
+    branches back to it; its count sums ``per_block`` over the blocks
+    it visits.  ``Program.successors`` only links a block to its
+    terminator's target and its layout fallthrough, and in an innermost
+    loop a backward branch to anything but the head would close a
+    smaller loop.  So the body is a DAG in layout order, and one pass
+    in that order gives the exact count set reachable at each block.
     """
-    paths: list[list[str]] = []
-    stack: list[list[str]] = [[start]]
-    while stack:
-        path = stack.pop()
-        if len(paths) + len(stack) > max_paths:
-            return None
-        label = path[-1]
-        succs = [
-            s for s in view.successors.get(label, ())
-            if s in within and s not in path
-        ]
-        if not succs:
-            paths.append(path)
+    head = loop.head
+    pos = {label: i for i, label in enumerate(loop.body)}
+    reach: dict[str, set[int]] = {head: {per_block.get(head, 0)}}
+    complete: set[int] = set()
+    for label in loop.body:
+        counts = reach.get(label)
+        if not counts:
             continue
-        exits = any(
-            s not in within or s in path
-            for s in view.successors.get(label, ())
-        )
-        if exits:
-            # The path may also terminate here (loop exit / backedge).
-            paths.append(list(path))
-        for succ in succs:
-            stack.append(path + [succ])
-    return paths
+        for succ in view.successors.get(label, ()):
+            if succ == head:
+                complete |= counts
+            elif pos.get(succ, -1) > pos[label]:
+                add = per_block.get(succ, 0)
+                reach.setdefault(succ, set()).update(c + add for c in counts)
+    return complete

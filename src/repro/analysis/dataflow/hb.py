@@ -50,7 +50,7 @@ from repro.analysis.dataflow.framework import (
     dominators,
     solve,
 )
-from repro.analysis.sites import BarrierSite, QueueSite, SmemAccess
+from repro.analysis.sites import SmemAccess, arrivals_per_iteration
 from repro.errors import ValidationError
 from repro.telemetry.spans import span
 
@@ -380,24 +380,10 @@ class _GraphBuilder:
             self._stage_blocks[stage] = labels
         self._doms = self._section_dominators()
         self._loops = {
-            stage: _outermost_loops(facts.loops(stage))
-            for stage in view.sections
+            stage: facts.outermost_loops(stage) for stage in view.sections
         }
         self._aligned = self._aligned_blocks()
         self.accesses = self._collect_accesses()
-        self._barrier_events: dict[str, list[BarrierSite]] = {
-            "arrive": [], "wait": [], "sync": [],
-        }
-        self._queue_events: dict[str, list[QueueSite]] = {
-            "push": [], "pop": [],
-        }
-        for bsite in self.sites.barrier_sites:
-            if id(bsite.instr) in self._pos:
-                self._barrier_events[bsite.kind].append(bsite)
-        for qsite in self.sites.queue_sites:
-            if id(qsite.instr) in self._pos:
-                kind = "push" if qsite.is_push else "pop"
-                self._queue_events[kind].append(qsite)
 
     # -- structural facts ---------------------------------------------
 
@@ -429,7 +415,7 @@ class _GraphBuilder:
         aligned: dict[str, NaturalLoop | None] = {}
         for stage, labels in self._stage_blocks.items():
             loops = self._loops[stage]
-            nested = self._nested_bodies(stage)
+            nested = self._facts.nested_blocks(stage)
             in_loop: dict[str, NaturalLoop] = {}
             for loop in loops:
                 for label in loop.body:
@@ -446,19 +432,6 @@ class _GraphBuilder:
                     aligned[label] = loop
         return aligned
 
-    def _nested_bodies(self, stage: int) -> set[str]:
-        outer = {
-            label for loop in self._loops[stage] for label in loop.body
-        }
-        nested: set[str] = set()
-        for loop in self._facts.loops(stage):
-            body = set(loop.body)
-            if body <= outer and not any(
-                body == set(o.body) for o in self._loops[stage]
-            ):
-                nested.update(body)
-        return nested
-
     # -- event collection ---------------------------------------------
 
     def _collect_accesses(self) -> list[AccessInfo]:
@@ -471,11 +444,8 @@ class _GraphBuilder:
         }
         accesses: list[AccessInfo] = []
         for site in self.sites.smem_accesses:
-            event = self._pos.get(id(site.instr))
-            if event is None:
-                continue  # unreachable block
             accesses.append(AccessInfo(
-                event=event,
+                event=self._event_of(id(site.instr)),
                 stage=site.stage,
                 block=site.block,
                 instr_repr=repr(site.instr),
@@ -509,11 +479,11 @@ class _GraphBuilder:
 
     def _interesting_events(self) -> list[Event]:
         ids: set[Event] = {a.event for a in self.accesses}
-        for bsites in self._barrier_events.values():
-            for bsite in bsites:
+        for barrier in self.sites.barriers.values():
+            for bsite in barrier.arrives + barrier.waits + barrier.syncs:
                 ids.add(self._event_of(id(bsite.instr)))
-        for qsites in self._queue_events.values():
-            for qsite in qsites:
+        for queue in self.sites.queues.values():
+            for qsite in queue.pushes + queue.pops:
                 ids.add(self._event_of(id(qsite.instr)))
         return sorted(ids)
 
@@ -614,14 +584,9 @@ class _GraphBuilder:
         return initial // expected
 
     def _add_barrier_edges(self, graph: _EventGraph) -> None:
-        by_id: dict[str, tuple[list[BarrierSite], list[BarrierSite]]]
-        by_id = {}
-        for bsite in self._barrier_events["arrive"]:
-            by_id.setdefault(bsite.barrier_id, ([], []))[0].append(bsite)
-        for bsite in self._barrier_events["wait"]:
-            by_id.setdefault(bsite.barrier_id, ([], []))[1].append(bsite)
-        for barrier_id in sorted(by_id):
-            arrives, waits = by_id[barrier_id]
+        for barrier_id in sorted(self.sites.barriers):
+            arrives = self.sites.barriers[barrier_id].arrives
+            waits = self.sites.barriers[barrier_id].waits
             if not arrives or not waits:
                 continue
             # Generation counting needs every arrive site to fire
@@ -642,15 +607,10 @@ class _GraphBuilder:
             if (
                 self.spec is not None
                 and barrier_id in self.spec.barrier_expected
+                and arrivals_per_iteration(self.spec, arrives)
+                != self.spec.barrier_expected[barrier_id]
             ):
-                per_iter = 0
-                for a in arrives:
-                    if not 0 <= a.stage < len(self.spec.warps_per_stage):
-                        per_iter = -1
-                        break
-                    per_iter += len(self.spec.warps_per_stage[a.stage])
-                if per_iter != self.spec.barrier_expected[barrier_id]:
-                    continue
+                continue
             delta = self._barrier_delta(barrier_id)
             if delta is None:
                 continue
@@ -669,20 +629,17 @@ class _GraphBuilder:
                     )
 
     def _add_sync_edges(self, graph: _EventGraph) -> None:
-        by_id: dict[str, dict[int, list[Event]]] = {}
-        guarded_ids: set[str] = set()
-        for bsite in self._barrier_events["sync"]:
-            event = self._event_of(id(bsite.instr))
-            if not self._chain_eligible(event):
-                guarded_ids.add(bsite.barrier_id)
-                continue
-            by_id.setdefault(bsite.barrier_id, {}).setdefault(
-                bsite.stage, []
-            ).append(event)
-        for barrier_id in sorted(by_id):
-            if barrier_id in guarded_ids:
+        for barrier_id in sorted(self.sites.barriers):
+            per_stage: dict[int, list[Event]] = {}
+            for bsite in self.sites.barriers[barrier_id].syncs:
+                per_stage.setdefault(bsite.stage, []).append(
+                    self._event_of(id(bsite.instr))
+                )
+            if not all(
+                self._chain_eligible(e)
+                for events in per_stage.values() for e in events
+            ):
                 continue  # phase counting would skew
-            per_stage = by_id[barrier_id]
             counts = {len(evts) for evts in per_stage.values()}
             if len(per_stage) < 2 or len(counts) != 1:
                 continue
@@ -708,13 +665,9 @@ class _GraphBuilder:
         """
         if self.spec is None:
             return
-        by_queue: dict[int, tuple[list[QueueSite], list[QueueSite]]] = {}
-        for qsite in self._queue_events["push"]:
-            by_queue.setdefault(qsite.queue_id, ([], []))[0].append(qsite)
-        for qsite in self._queue_events["pop"]:
-            by_queue.setdefault(qsite.queue_id, ([], []))[1].append(qsite)
-        for queue_id in sorted(by_queue):
-            pushes, pops = by_queue[queue_id]
+        for queue_id in sorted(self.sites.queues):
+            pushes = self.sites.queues[queue_id].pushes
+            pops = self.sites.queues[queue_id].pops
             if not pushes or not pops:
                 continue
             if any(s.bulk for s in pushes + pops):
@@ -768,19 +721,6 @@ class _GraphBuilder:
         except ValidationError:
             return 1
         return max(1, queue.size)
-
-
-def _outermost_loops(loops: list[NaturalLoop]) -> list[NaturalLoop]:
-    """Drop loops properly contained in another loop's body."""
-    outer: list[NaturalLoop] = []
-    for loop in loops:
-        body = set(loop.body)
-        if any(
-            body < set(other.body) for other in loops if other != loop
-        ):
-            continue
-        outer.append(loop)
-    return outer
 
 
 def _resolve_phase(

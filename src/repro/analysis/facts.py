@@ -2,8 +2,8 @@
 
 The verifier, translation validation, racediff and the fuzz oracle all
 ask the same questions of a compiled program: its stage-partitioned
-view, the queue/barrier/SMEM site walk, the thread-block spec, each
-stage's loops, the happens-before solve and the default verifier
+view, the queue/barrier/SMEM site index, the thread-block spec, each
+stage's loop nest, the happens-before solve and the default verifier
 report.  :class:`PipelineFacts` answers each question the first time
 it is asked and keeps the answer, so one compile solves happens-before
 once however many analyses read the result.
@@ -58,6 +58,31 @@ class PipelineFacts:
         if stage not in self._loops:
             self._loops[stage] = section_loops(self.view, stage)
         return self._loops[stage]
+
+    def innermost_loops(self, stage: int) -> list[NaturalLoop]:
+        """Loops whose body properly contains no other loop's body."""
+        loops = self.loops(stage)
+        return [
+            loop for loop in loops
+            if not any(set(o.body) < set(loop.body) for o in loops)
+        ]
+
+    def outermost_loops(self, stage: int) -> list[NaturalLoop]:
+        """Loops whose body no other loop's body properly contains."""
+        loops = self.loops(stage)
+        return [
+            loop for loop in loops
+            if not any(set(loop.body) < set(o.body) for o in loops)
+        ]
+
+    def nested_blocks(self, stage: int) -> set[str]:
+        """Blocks of the loops that sit inside another loop."""
+        outer = self.outermost_loops(stage)
+        return {
+            label
+            for loop in self.loops(stage) if loop not in outer
+            for label in loop.body
+        }
 
     @cached_property
     def hb(self) -> HBAnalysis:

@@ -194,11 +194,10 @@ def _check_use_before_def(
     predecessor edges (``None`` = not-yet-visited, optimistic), each
     edge transferring its source block's definitions.
     """
-    section = view.sections[stage]
-    labels = section.labels & view.reachable
-    if not labels:
+    blocks = view.reachable_blocks(stage)
+    if not blocks:
         return []
-    blocks = [b for b in section.blocks if b.label in labels]
+    labels = {b.label for b in blocks}
     order = {b.label: i for i, b in enumerate(blocks)}
 
     # Dispatch-section definitions (the jump table's predicate) reach

@@ -1,8 +1,8 @@
-"""Static pipeline verifier: one entry point over the four passes.
+"""Static pipeline verifier: one entry point over the three passes.
 
 ``verify_program`` runs without executing anything: structural (CFG)
-validation first, then — when the CFG is sound — the queue-protocol,
-deadlock, SMEM-race and resource passes over the stage-partitioned
+validation first, then — when the CFG is sound — the queue/barrier
+protocol, SMEM-race and resource passes over the stage-partitioned
 program view.  Programs without a :class:`ThreadBlockSpec` get the
 single-stage subset (hygiene, bounds, resources, use-before-def).
 
@@ -13,10 +13,9 @@ carrying the full report.
 
 from __future__ import annotations
 
-from repro.analysis.deadlock import check_deadlock
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.facts import PipelineFacts
-from repro.analysis.queues import check_queues
+from repro.analysis.protocol import check_protocol
 from repro.analysis.resources import VerifyLimits, check_resources
 from repro.analysis.smem import check_smem
 from repro.errors import VerificationError
@@ -51,8 +50,7 @@ def verify_program(
             return _finish(report)
 
         facts = facts or PipelineFacts(program)
-        report.extend(check_queues(facts))
-        report.extend(check_deadlock(facts))
+        report.extend(check_protocol(facts))
         report.extend(check_smem(facts))
         report.extend(check_resources(facts, limits))
         return _finish(report)
