@@ -10,6 +10,10 @@ worker processes, with two properties the figures rely on:
   is enabled, a *warm phase* first generates each unique (kernel,
   compiler-options) trace exactly once across the pool; the simulate
   phase then runs entirely from cache hits.
+* **No duplicated replay** — the simulate phase dispatches one pool
+  unit per kernel content digest, so every cell that can share a cache
+  entry's result tier runs in the same worker, and serial and parallel
+  sweeps simulate the same distinct (entry, GPU) set.
 
 Job count comes from ``jobs=`` (CLI ``--jobs``), else the
 ``REPRO_JOBS`` environment variable, else 1 (serial, no pool).
@@ -109,11 +113,11 @@ class TaskTiming:
 class SweepReport:
     """Per-sweep execution statistics: timing, cache hit/miss, stalls.
 
-    Stall counters aggregate over every simulation the sweep ran
-    (including specialized variants that lost the opt-in), from results
-    assembled in the parent — so they are exact regardless of
-    ``--jobs``, just like the cache counters, which each worker
-    measures as a per-task delta for the parent to merge.
+    Stall counters aggregate the chosen simulation (``result.sim``)
+    of every sweep row — a specialized variant that lost the opt-in
+    is not counted — folded in task order in the parent, so they are
+    exact regardless of ``--jobs``, just like the cache counters, which
+    each worker measures as a per-task delta for the parent to merge.
     """
 
     jobs: int = 1
@@ -315,21 +319,30 @@ def _run_warm_task(spec: tuple[KernelTask, str]):
             _tel_delta(tel_before))
 
 
-def _run_sim_task(task: KernelTask):
-    """Time one kernel×config; returns a kernel-stripped result."""
-    start = time.perf_counter()
-    before = GLOBAL_CACHE.stats.snapshot()
+def _run_sim_group(tasks: list[KernelTask]):
+    """Time every kernel×config of one entry group, in order.
+
+    The cells share trace-cache entries, so they share one worker's
+    result tier.  Returns kernel-stripped per-cell results plus the
+    group's telemetry delta.
+    """
     tel_before = _tel_before()
-    kernel = _task_kernel(task)
-    result = run_kernel(
-        kernel, task.config, GLOBAL_CACHE, predict=task.predict
-    )
-    # Kernels carry closure-based image factories that cannot be
-    # pickled back; the parent reattaches its own Kernel object.
-    result.kernel = None
-    elapsed = time.perf_counter() - start
-    return (task, result, elapsed, GLOBAL_CACHE.stats.since(before),
-            _tel_delta(tel_before))
+    cells = []
+    for task in tasks:
+        start = time.perf_counter()
+        before = GLOBAL_CACHE.stats.snapshot()
+        kernel = _task_kernel(task)
+        result = run_kernel(
+            kernel, task.config, GLOBAL_CACHE, predict=task.predict
+        )
+        # Kernels carry closure-based image factories that cannot be
+        # pickled back; the parent reattaches its own Kernel object.
+        result.kernel = None
+        elapsed = time.perf_counter() - start
+        cells.append(
+            (task, result, elapsed, GLOBAL_CACHE.stats.since(before))
+        )
+    return cells, _tel_delta(tel_before)
 
 
 # -- orchestration ----------------------------------------------------------
@@ -384,10 +397,16 @@ def run_sweep(
     start = time.perf_counter()
     report = SweepReport(jobs=jobs, num_tasks=len(tasks))
     results: dict[tuple[str, str, int], KernelResult] = {}
-    if jobs == 1:
-        _run_serial(tasks, benchmarks, results, report)
-    else:
-        _run_parallel(tasks, benchmarks, results, report, jobs)
+    # The result tier is sweep-scoped: forked workers must not inherit
+    # an earlier sweep's replays, or they would simulate nothing.
+    GLOBAL_CACHE.clear_results()
+    try:
+        if jobs == 1:
+            _run_serial(tasks, benchmarks, results, report)
+        else:
+            _run_parallel(tasks, benchmarks, results, report, jobs)
+    finally:
+        GLOBAL_CACHE.clear_results()
     report.wall_seconds = time.perf_counter() - start
     _harvest_pool(report)
     _record_report(report)
@@ -447,6 +466,27 @@ def _harvest_pool(report: SweepReport) -> None:
     harvest_cache_stats(report.stats)
 
 
+def _record_cell(task, result, elapsed, stats, report, results) -> None:
+    report.stats.merge(stats)
+    report.worker_seconds += elapsed
+    report.add_sim(result.sim)
+    report.add_prediction(task, result)
+    report.timings.append(
+        TaskTiming(
+            benchmark=task.benchmark,
+            kernel=task.kernel,
+            config_name=task.config.name,
+            phase="simulate",
+            seconds=elapsed,
+        )
+    )
+    results[_cell_key(task)] = result
+
+
+def _cell_key(task: KernelTask) -> tuple[str, str, int]:
+    return (task.benchmark, task.kernel, task.config_index)
+
+
 def _run_serial(tasks, benchmarks, results, report) -> None:
     for task in tasks:
         kernel = benchmarks[task.benchmark].kernel(task.kernel)
@@ -456,26 +496,19 @@ def _run_serial(tasks, benchmarks, results, report) -> None:
             kernel, task.config, GLOBAL_CACHE, predict=task.predict
         )
         elapsed = time.perf_counter() - start
-        report.stats.merge(GLOBAL_CACHE.stats.since(before))
-        report.worker_seconds += elapsed
-        report.add_sim(result.sim)
-        report.add_prediction(task, result)
-        report.timings.append(
-            TaskTiming(
-                benchmark=task.benchmark,
-                kernel=task.kernel,
-                config_name=task.config.name,
-                phase="simulate",
-                seconds=elapsed,
-            )
-        )
-        results[(task.benchmark, task.kernel, task.config_index)] = result
+        _record_cell(task, result, elapsed,
+                     GLOBAL_CACHE.stats.since(before), report, results)
 
 
 def _run_parallel(tasks, benchmarks, results, report, jobs) -> None:
     store = GLOBAL_CACHE.store
     cache_dir = str(store.cache_dir) if store is not None else None
     enabled = store is not None
+    groups: dict[str, list[KernelTask]] = {}
+    for task in tasks:
+        kernel = benchmarks[task.benchmark].kernel(task.kernel)
+        groups.setdefault(kernel.content_digest(), []).append(task)
+    cells: dict[tuple[str, str, int], tuple] = {}
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_worker_init,
@@ -483,26 +516,18 @@ def _run_parallel(tasks, benchmarks, results, report, jobs) -> None:
     ) as pool:
         if enabled:
             _warm_phase(pool, tasks, benchmarks, report)
-        for task, result, elapsed, stats, tel in pool.map(
-            _run_sim_task, tasks, chunksize=1
+        for group, tel in pool.map(
+            _run_sim_group, groups.values(), chunksize=1
         ):
-            result.kernel = benchmarks[task.benchmark].kernel(task.kernel)
-            report.stats.merge(stats)
             if tel is not None:
                 TELEMETRY.merge_snapshot(tel)
-            report.worker_seconds += elapsed
-            report.add_sim(result.sim)
-            report.add_prediction(task, result)
-            report.timings.append(
-                TaskTiming(
-                    benchmark=task.benchmark,
-                    kernel=task.kernel,
-                    config_name=task.config.name,
-                    phase="simulate",
-                    seconds=elapsed,
-                )
-            )
-            results[(task.benchmark, task.kernel, task.config_index)] = result
+            for task, result, elapsed, stats in group:
+                cells[_cell_key(task)] = (result, elapsed, stats)
+    # Fold in task order: float stall sums then match a serial sweep's.
+    for task in tasks:
+        result, elapsed, stats = cells[_cell_key(task)]
+        result.kernel = benchmarks[task.benchmark].kernel(task.kernel)
+        _record_cell(task, result, elapsed, stats, report, results)
 
 
 def _warm_phase(pool, tasks, benchmarks, report) -> None:

@@ -58,7 +58,9 @@ def format_cache_report(report) -> str:
         f"trace cache: {stats.memory_hits} memory hits, "
         f"{stats.disk_hits} disk hits, "
         f"{stats.generations} generations, "
-        f"{stats.disk_writes} disk writes",
+        f"{stats.disk_writes} disk writes, "
+        f"{stats.sim_reuses} sim reuses, "
+        f"{stats.prediction_reuses} prediction reuses",
     ]
     slowest = report.slowest_tasks(3)
     if slowest:

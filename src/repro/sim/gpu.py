@@ -32,7 +32,8 @@ from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 
 __all__ = [
-    "SimResult", "make_simulator", "simulate_kernel", "simulate_program",
+    "SimResult", "make_simulator", "resolve_core", "simulate_kernel",
+    "simulate_program",
 ]
 
 _CORES = {
@@ -48,6 +49,12 @@ _CORES = {
 _CORE_ENV = "REPRO_SIM_CORE"
 
 
+def resolve_core(config: GPUConfig, core: str | None = None) -> str:
+    """The SM core a replay of ``config`` runs on: explicit ``core``,
+    then ``REPRO_SIM_CORE``, then ``config.core``."""
+    return core or os.environ.get(_CORE_ENV) or config.core
+
+
 def make_simulator(
     config: GPUConfig,
     traces: list[KernelTrace],
@@ -56,7 +63,7 @@ def make_simulator(
     core: str | None = None,
 ) -> SMSimulator:
     """Instantiate the configured SM core loop for ``traces``."""
-    name = core or os.environ.get(_CORE_ENV) or config.core
+    name = resolve_core(config, core)
     cls = _CORES.get(name)
     if cls is None:
         raise SimulationError(

@@ -8,7 +8,12 @@ subset at reduced scale against an isolated temporary cache directory.
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.configs import baseline_config, wasp_gpu_config
+from repro.experiments.configs import (
+    baseline_config,
+    compiler_all_config,
+    compiler_tile_config,
+    wasp_gpu_config,
+)
 from repro.experiments.parallel import (
     last_report,
     resolve_jobs,
@@ -146,12 +151,19 @@ def test_parallel_cache_stats_aggregate_from_workers(isolated_cache):
 
 
 def test_sweep_stall_aggregation_matches_serial(isolated_cache):
-    """Stall roll-ups are assembled in the parent: jobs-invariant."""
-    configs = _configs()
+    """Stall roll-ups are assembled in the parent: jobs-invariant, also
+    when three configs share ``baseline_a100()`` and so share replays
+    through the result tier."""
+    configs = [baseline_config(), compiler_tile_config(),
+               compiler_all_config(), wasp_gpu_config()]
     serial = run_sweep(FAST, SCALE, configs, jobs=1)
     parallel = run_sweep(FAST, SCALE, configs, jobs=2)
     assert serial.report.stall_cycles
     assert parallel.report.stall_cycles == serial.report.stall_cycles
+    assert serial.report.stats.sim_reuses > 0
+    assert parallel.report.stats.sim_reuses == (
+        serial.report.stats.sim_reuses
+    )
     assert parallel.report.issued_total == serial.report.issued_total
     assert parallel.report.active_warp_cycles == pytest.approx(
         serial.report.active_warp_cycles

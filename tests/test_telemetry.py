@@ -427,18 +427,43 @@ def isolated_cache(tmp_path):
     runner.GLOBAL_CACHE.__dict__.update(saved)
 
 
+def _distinct_replays(cache, benchmark, scale, configs) -> int:
+    """The (trace-cache entry, GPU) pairs a sweep must simulate."""
+    from repro.experiments.runner import _compiler_options_for, _gpu_for
+    from repro.workloads import get_benchmark
+
+    pairs = set()
+    for kernel in get_benchmark(benchmark, scale).kernels:
+        for config in configs:
+            gpu = _gpu_for(kernel, config)
+            pairs.add((cache.key_for(kernel, None), gpu))
+            options = _compiler_options_for(kernel, config)
+            if options is not None and (
+                cache.specialized(kernel, options) is not None
+            ):
+                pairs.add((cache.key_for(kernel, options), gpu))
+    return len(pairs)
+
+
 def test_sweep_telemetry_jobs_invariant(clean_telemetry,
                                         isolated_cache):
     """Serial and --jobs 2 sweeps aggregate to identical invariant
     counters (the ISSUE 7 satellite contract); wall-clock series are
-    excluded by their invariant=False flag."""
+    excluded by their invariant=False flag.  Three of the configs share
+    ``baseline_a100()``, so both sweeps must replay each distinct
+    (entry, GPU) pair exactly once: the result tier is emptied at
+    sweep start (workers forked after the serial sweep inherit none of
+    its replays) and each entry group runs in one worker."""
     from repro.experiments.configs import (
         baseline_config,
+        compiler_all_config,
+        compiler_tile_config,
         wasp_gpu_config,
     )
     from repro.experiments.parallel import last_report, run_sweep
 
-    configs = [baseline_config(), wasp_gpu_config()]
+    configs = [baseline_config(), compiler_tile_config(),
+               compiler_all_config(), wasp_gpu_config()]
     run_sweep(["pointnet"], 0.1, configs, jobs=1)
     serial_report = last_report()
     serial = clean_telemetry.snapshot().invariant_counters()
@@ -447,6 +472,12 @@ def test_sweep_telemetry_jobs_invariant(clean_telemetry,
     assert serial.get(
         "repro_pool_tasks_total{phase=simulate}"
     ) == len(configs)
+    distinct = _distinct_replays(isolated_cache, "pointnet", 0.1, configs)
+    assert serial["repro_eventcore_runs_total"] == distinct
+    assert serial["repro_cache_result_reuses_total{kind=sim}"] == (
+        serial_report.stats.sim_reuses
+    ) > 0
+    assert "repro_cache_result_reuses_total{kind=prediction}" in serial
 
     clean_telemetry.reset()
     run_sweep(["pointnet"], 0.1, configs, jobs=2)
@@ -462,8 +493,10 @@ def test_sweep_telemetry_jobs_invariant(clean_telemetry,
         assert 0.0 <= doc["utilization"] <= 1.0
         assert set(doc["cache"]) >= {
             "memory_hits", "disk_hits", "generations", "lookups",
+            "sim_reuses", "prediction_reuses",
         }
         assert doc["cache"]["lookups"] > 0
+        assert doc["cache"]["sim_reuses"] == serial_report.stats.sim_reuses
 
 
 # -- corediff perf fields ---------------------------------------------------

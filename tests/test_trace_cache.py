@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 from tests.test_trace_identity import _registry_traces
 
-from repro.experiments.configs import baseline_config, wasp_gpu_config
+from repro.experiments.configs import (
+    baseline_config,
+    compiler_all_config,
+    compiler_tile_config,
+    wasp_gpu_config,
+)
 from repro.experiments.runner import TraceCache, run_kernel
 from repro.fexec import LaunchConfig, MemoryImage
 from repro.fexec import run_kernel as run_functional
@@ -172,6 +177,61 @@ def test_baseline_run_kernel_round_trip(store):
     reference = run_kernel(kernel, config, TraceCache(store=store))
     replayed = run_kernel(kernel, config, TraceCache(store=store))
     assert replayed.cycles == reference.cycles
+
+
+# -- result tier --------------------------------------------------------------
+
+
+def test_configs_sharing_a_gpu_replay_each_entry_once():
+    kernel = get_benchmark("pointnet", 0.1).kernels[0]
+    cache = TraceCache()
+    base, tile, full = (
+        run_kernel(kernel, config, cache)
+        for config in (baseline_config(), compiler_tile_config(),
+                       compiler_all_config())
+    )
+    # BASELINE's plain replay is both compiler configs' fallback.
+    assert tile.fallback_sim is base.sim
+    assert full.fallback_sim is base.sim
+    assert cache.stats.sim_reuses == 2
+
+    run_kernel(kernel, wasp_gpu_config(), cache)  # another GPU
+    assert cache.stats.sim_reuses == 2
+
+    cache.clear_results()
+    again = run_kernel(kernel, baseline_config(), cache)
+    assert cache.stats.sim_reuses == 2
+    assert again.sim is not base.sim
+    assert again.cycles == base.cycles
+
+
+def test_result_tier_keys_on_the_resolved_core(monkeypatch):
+    """One cache used under REPRO_SIM_CORE=reference and then =event
+    runs both cores; the golden fig14 table's cross-check of the two
+    shares one cache this way."""
+    import repro.sim.gpu as sim_gpu
+
+    built = []
+    real = sim_gpu.make_simulator
+
+    def recording(*args, **kwargs):
+        sim = real(*args, **kwargs)
+        built.append(type(sim).__name__)
+        return sim
+
+    monkeypatch.setattr(sim_gpu, "make_simulator", recording)
+    kernel, cache, config = _tiny_kernel(), TraceCache(), baseline_config()
+    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
+    reference = run_kernel(kernel, config, cache)
+    monkeypatch.setenv("REPRO_SIM_CORE", "event")
+    event = run_kernel(kernel, config, cache)
+    assert built == ["SMSimulator", "EventSMSimulator"]
+    assert cache.stats.sim_reuses == 0
+    assert event.cycles == reference.cycles
+
+    run_kernel(kernel, config, cache)
+    assert len(built) == 2
+    assert cache.stats.sim_reuses == 1
 
 
 # -- format 2 round trip -----------------------------------------------------
