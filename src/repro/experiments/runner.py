@@ -2,8 +2,11 @@
 
 Compilation and functional execution (the expensive trace generation)
 are cached per (kernel, compiler options); timing replays and
-perf-model predictions are memoized on the cached entry per GPU
-configuration, so configurations sharing a GPU replay each trace once.
+perf-model predictions are memoized on the cached entry per replay
+key: the GPU with its features reduced to those a replay of the
+entry's traces can observe (:func:`~repro.sim.gpu.replay_key`).
+Configurations whose GPUs a replay cannot tell apart share it:
+BASELINE and WASP_GPU replay an unspecialized kernel once.
 Per-kernel opt-in mirrors the paper: the specialized version is used
 only where it beats the unspecialized kernel on the same hardware.
 
@@ -32,7 +35,7 @@ from repro.fexec.machine import run_kernel as run_functional
 from repro.fexec.trace import TRACE_FORMAT_VERSION, KernelTrace
 from repro.fexec.trace_store import TraceStore
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import SimResult, resolve_core, simulate_kernel
+from repro.sim.gpu import SimResult, replay_key, simulate_kernel
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 from repro.workloads.base import Benchmark, Kernel
@@ -131,9 +134,11 @@ def harvest_cache_stats(stats: CacheStats) -> None:
 class _TraceEntry:
     traces: list[KernelTrace]
     compile_result: CompileResult | None
-    #: Result tier: (GPU, resolved core) -> replay of ``traces``.
+    #: Result tier: replay key (resolved core, reduced GPU) -> replay
+    #: of ``traces``.
     sims: dict[tuple, SimResult] = field(default_factory=dict)
-    #: Result tier: (GPU, kernel name) -> perf-model prediction.
+    #: Result tier: (replay-key GPU, kernel name) -> perf-model
+    #: prediction.
     predictions: dict[tuple, Prediction] = field(default_factory=dict)
 
 
@@ -147,9 +152,9 @@ class TraceCache:
     is backed by the environment-configured store.
 
     On top sits a *result tier*: each live entry memoizes its replays
-    (:meth:`simulate`) and perf-model predictions (:meth:`predict`), so
-    configurations sharing a GPU run each once.  Replays with a
-    profiler or an explicit occupancy call :func:`simulate_kernel`
+    (:meth:`simulate`) and perf-model predictions (:meth:`predict`) by
+    replay key, so configurations sharing one run each once.  Replays
+    with a profiler or an explicit occupancy call :func:`simulate_kernel`
     directly and never touch it.
     """
 
@@ -183,11 +188,15 @@ class TraceCache:
         return entry
 
     def simulate(self, entry: _TraceEntry, gpu: GPUConfig) -> SimResult:
-        """``simulate_kernel(entry.traces, gpu)``, once per (GPU, core)."""
-        key = (gpu, resolve_core(gpu))
+        """``simulate_kernel(entry.traces, gpu)``, once per replay key
+        (:func:`~repro.sim.gpu.replay_key`)."""
+        key = replay_key(gpu, entry.traces)
         sim = entry.sims.get(key)
         if sim is None:
-            sim = entry.sims[key] = simulate_kernel(entry.traces, gpu)
+            core, key_gpu = key
+            sim = entry.sims[key] = simulate_kernel(
+                entry.traces, key_gpu, core=core
+            )
         else:
             self.stats.sim_reuses += 1
         return sim
@@ -196,16 +205,17 @@ class TraceCache:
         self, entry: _TraceEntry, gpu: GPUConfig, kernel_name: str
     ) -> Prediction:
         """``predict_traces(entry.traces, gpu, kernel_name)``, once per
-        (GPU, kernel name).  The model runs no SM core."""
+        (replay-key GPU, kernel name).  The model runs no SM core."""
         # Imported lazily: the perfmodel depends on this module's cache
         # in the other direction (predict_kernel).
         from repro.analysis.perfmodel.model import predict_traces
 
-        key = (gpu, kernel_name)
+        key_gpu = replay_key(gpu, entry.traces)[1]
+        key = (key_gpu, kernel_name)
         prediction = entry.predictions.get(key)
         if prediction is None:
             prediction = entry.predictions[key] = predict_traces(
-                entry.traces, gpu, kernel_name=kernel_name
+                entry.traces, key_gpu, kernel_name=kernel_name
             )
         else:
             self.stats.prediction_reuses += 1

@@ -15,6 +15,7 @@ it is interval-based and adds only O(1) work per issue attempt.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from repro.errors import SimulationError
 from repro.fexec.launch import LaunchConfig
@@ -23,7 +24,7 @@ from repro.fexec.memory_image import MemoryImage
 from repro.fexec.trace import KernelTrace
 from repro.isa.program import Program
 from repro.profiling import PipelineProfiler
-from repro.sim.config import GPUConfig
+from repro.sim.config import GPUConfig, SchedulingPolicy, WaspFeatures
 from repro.sim.occupancy import Occupancy
 from repro.sim.results import TIMELINE_BUCKET, SimResult, SMStats
 from repro.sim.sm import SMSimulator
@@ -32,8 +33,8 @@ from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 
 __all__ = [
-    "SimResult", "make_simulator", "resolve_core", "simulate_kernel",
-    "simulate_program",
+    "SimResult", "make_simulator", "replay_key", "resolve_core",
+    "simulate_kernel", "simulate_program",
 ]
 
 _CORES = {
@@ -53,6 +54,39 @@ def resolve_core(config: GPUConfig, core: str | None = None) -> str:
     """The SM core a replay of ``config`` runs on: explicit ``core``,
     then ``REPRO_SIM_CORE``, then ``config.core``."""
     return core or os.environ.get(_CORE_ENV) or config.core
+
+
+def replay_key(
+    config: GPUConfig, traces: list[KernelTrace], core: str | None = None,
+) -> tuple[str, GPUConfig]:
+    """The resolved core and the GPU a replay of ``traces`` under
+    ``config`` cannot be told apart from: ``config`` with its features
+    reduced to those the replay observes.
+
+    ``explicit_naming`` and ``wasp_tma`` are always reset: neither the
+    SM cores nor :func:`~repro.analysis.perfmodel.model.predict_traces`
+    reads them.  Every other feature acts through the thread-block
+    spec (§III-A: hardware names warps only through it).  Traces of a
+    spec-less program have one stage and no queues, so mapping,
+    occupancy and queue code ignore those features, and every policy
+    but LRR ranks single-stage, queue-less warps exactly as GTO does:
+    such a replay is BASELINE's, unless it runs pipeline scheduling
+    under LRR.
+    """
+    features = config.features
+    if any(trace.tb_spec is not None for trace in traces):
+        reduced = replace(features, explicit_naming=False, wasp_tma=False)
+    elif (
+        features.pipeline_scheduling
+        and features.scheduling_policy is SchedulingPolicy.LRR
+    ):
+        reduced = WaspFeatures(
+            pipeline_scheduling=True,
+            scheduling_policy=SchedulingPolicy.LRR,
+        )
+    else:
+        reduced = WaspFeatures()
+    return resolve_core(config, core), replace(config, features=reduced)
 
 
 def make_simulator(

@@ -17,7 +17,10 @@ that can act.  Warps live in exactly one of four places:
 * **Sleeping** (``_heap``, a :class:`~repro.sim.events.WakeupHeap`):
   blocked with a known finite wake — a scoreboard release, a queue
   head's data-ready time, an MSHR fill, a timed barrier release.
-  Popped when the clock reaches them.
+  Blocked warps are put here when a poll finds them blocked, and a
+  winner whose next operands will not be ready on the next cycle is
+  put here when it issues (exactness note 3).  Popped when the clock
+  reaches them.
 * **Registered** (waiter lists on :class:`~repro.sim.queues
   .QueueChannel` and the barrier classes): blocked with *no* known
   wake — an empty queue, a full queue, a barrier short of arrivals.
@@ -27,7 +30,8 @@ that can act.  Warps live in exactly one of four places:
 
 Exactness — the differential contract enforced by
 :mod:`repro.sim.differential` and CI's ``core-differential`` job —
-requires reproducing two subtle reference behaviours:
+requires reproducing two subtle reference behaviours, and the third
+note shows one poll the event core skips is a no-op:
 
 1. *Intra-cycle visibility.*  The reference polls warps in processing-
    block order, then list order within the block; an event produced
@@ -48,6 +52,20 @@ requires reproducing two subtle reference behaviours:
    current cycle sit in ``_pending_wakes`` until a progress cycle
    ends, then move to ``_buffer`` for the next processed cycle —
    mirroring ``_rearm_infinite_waits`` exactly.
+
+3. *Eager scoreboard sleep.*  A block's winner is next polled at
+   ``now + 1``.  If its next instruction's operands are not ready by
+   then, that poll can only find it blocked on its scoreboard until
+   they are: only a warp writes its own scoreboard, and the winner
+   does not issue again before that poll.  So the winner goes straight
+   onto the heap, timed for when its operands are ready, with
+   ``prof_cause = SCOREBOARD``, which the skipped poll would have set
+   while closing a zero-length interval (``_execute`` moved the mark
+   to ``now + 1``).  Its slot in the block's scan list is stable while
+   it executes: ``_scan_pos`` is ``_AFTER_ALL`` then, so no warp of
+   the same block is inserted, and the slot recorded at arbitration
+   still holds it.  A winner with pending queue overhead, or done,
+   stays where it is.
 
 Warps never polled by this core are exactly the reference's no-op
 polls: a registered warp's blocking condition can only change through
@@ -75,8 +93,8 @@ from repro.sim.barriers import INFINITY
 from repro.sim.events import WakeupHeap
 from repro.sim.results import SMStats
 from repro.sim.sm import (
-    _BAR_SYNC, _BAR_WAIT, _GTO_KEY, _ISSUE_PORT, SMSimulator, _ResidentTB,
-    _WarpRun,
+    _BAR_SYNC, _BAR_WAIT, _GTO_KEY, _ISSUE_PORT, _SCOREBOARD, SMSimulator,
+    _ResidentTB, _WarpRun,
 )
 from repro.telemetry.registry import (
     CYCLES_BUCKETS, DEPTH_BUCKETS, TELEMETRY,
@@ -121,6 +139,7 @@ class EventSMSimulator(SMSimulator):
         self._tel_reg_queue_empty = 0
         self._tel_reg_queue_full = 0
         self._tel_reg_barrier = 0
+        self._tel_sleep_eager = 0
         self._tel_skip_counts = [0] * (len(CYCLES_BUCKETS) + 1)
 
     # -- residency ------------------------------------------------------
@@ -396,7 +415,8 @@ class EventSMSimulator(SMSimulator):
             ("heap_wake", heap.pops),
             ("notify_wake", self._tel_wakes),
             ("buffered_wake", self._tel_buffered),
-            ("sleep_heap", heap.pushes),
+            ("sleep_heap", heap.pushes - self._tel_sleep_eager),
+            ("sleep_eager", self._tel_sleep_eager),
             ("sleep_queue_empty", self._tel_reg_queue_empty),
             ("sleep_queue_full", self._tel_reg_queue_full),
             ("sleep_barrier", self._tel_reg_barrier),
@@ -425,6 +445,7 @@ class EventSMSimulator(SMSimulator):
         """
         best: _WarpRun | None = None
         best_key = None
+        best_slot = 0  # the winner's index in ``keep``
         wake = INFINITY
         greedy = self._greedy[pb_index]
         # Baseline hardware is pipeline-agnostic: plain GTO order.
@@ -474,6 +495,7 @@ class EventSMSimulator(SMSimulator):
             eligible.append((key, warp))
             if best is None or key < best_key:
                 best, best_key = warp, key
+                best_slot = len(keep) - 1
         self._awake[pb_index] = keep
         self._tel_polls += index
         # Winner execution: events become visible to later blocks this
@@ -489,4 +511,25 @@ class EventSMSimulator(SMSimulator):
         self._greedy[pb_index] = best.key
         if best.done:
             self._dead_tbs.add(best.tb)
+        elif not best.pending_extra:
+            # Eager scoreboard sleep (exactness note 3): if the next
+            # instruction's operands are not ready at now + 1, sleep
+            # until they are instead of being polled at now + 1.  This
+            # is the scoreboard check of _can_issue, which is free of
+            # side effects; the rest of _can_issue is not (a BAR_SYNC
+            # arrives), so it cannot run a cycle early.
+            src_regs = best.ops[best.pc][4]
+            if src_regs:
+                ready = now + 1.0
+                scoreboard = best.scoreboard
+                for reg in src_regs:
+                    t = scoreboard.get(reg)
+                    if t is not None and t > ready:
+                        ready = t
+                if ready > now + 1.0:
+                    del keep[best_slot]
+                    best.wake_at = ready
+                    best.prof_cause = _SCOREBOARD
+                    self._heap.push(ready, best)
+                    self._tel_sleep_eager += 1
         return True

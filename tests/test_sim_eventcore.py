@@ -163,6 +163,48 @@ def test_zero_latency_alu_events():
     assert ref.issued_total == 40
 
 
+def _eager_chain() -> KernelTrace:
+    """One warp running a dependent ALU/FMA chain.
+
+    Eight dependent links, each a latency-4 write the next link reads:
+    seven eager sleeps.  Then r5 is written and read four issues later,
+    exactly when it is ready: the read is issuable at ``now + 1``, so
+    it does not sleep.
+    """
+    def iadd(dst, src):
+        return DynamicInstr(
+            opcode=Opcode.IADD, unit=FuncUnit.INT,
+            category=InstrCategory.COMPUTE, dst_regs=(dst,),
+            src_regs=src,
+        )
+
+    chain = [
+        iadd(1, (1,)) if i % 2 else _fp(dst=1, src=(1,)) for i in range(8)
+    ] + [_fp(dst=5), iadd(6, ()), iadd(7, ()), iadd(8, ()), iadd(9, (5,))]
+    return KernelTrace(
+        kernel_name="chain", num_warps=1, warp_width=8,
+        warps=[_warp(0, 0, chain)],
+    )
+
+
+def test_eager_scoreboard_sleep_is_exact():
+    """After nearly every issue of the chain the winner's next
+    instruction reads the register just written, so the event core
+    puts it to sleep at issue time instead of polling it on the next
+    cycle.  Cycles and the SCOREBOARD stall intervals must match the
+    reference, which does poll it."""
+    from repro.profiling.stalls import StallCause
+
+    trace, gpu = _eager_chain(), baseline_a100()
+    sim = make_simulator(gpu, [trace], core="event")
+    event = sim.run()
+    ref = make_simulator(gpu, [trace], core="reference").run()
+    assert sim._tel_sleep_eager == 7
+    _assert_same(ref, event)
+    assert event.stall_cycles[(0, StallCause.SCOREBOARD)] == 7 * 3
+    assert set(event.stall_cycles) == {(0, StallCause.SCOREBOARD)}
+
+
 # -- full-queue starvation ------------------------------------------------
 
 

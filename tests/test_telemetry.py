@@ -428,20 +428,26 @@ def isolated_cache(tmp_path):
 
 
 def _distinct_replays(cache, benchmark, scale, configs) -> int:
-    """The (trace-cache entry, GPU) pairs a sweep must simulate."""
+    """The (trace-cache entry, replay key) pairs a sweep must
+    simulate."""
     from repro.experiments.runner import _compiler_options_for, _gpu_for
+    from repro.sim.gpu import replay_key
     from repro.workloads import get_benchmark
 
     pairs = set()
     for kernel in get_benchmark(benchmark, scale).kernels:
         for config in configs:
             gpu = _gpu_for(kernel, config)
-            pairs.add((cache.key_for(kernel, None), gpu))
+            plain = cache.original(kernel)
+            pairs.add((cache.key_for(kernel, None),
+                       replay_key(gpu, plain.traces)))
             options = _compiler_options_for(kernel, config)
-            if options is not None and (
-                cache.specialized(kernel, options) is not None
-            ):
-                pairs.add((cache.key_for(kernel, options), gpu))
+            if options is None:
+                continue
+            entry = cache.specialized(kernel, options)
+            if entry is not None:
+                pairs.add((cache.key_for(kernel, options),
+                           replay_key(gpu, entry.traces)))
     return len(pairs)
 
 
@@ -451,7 +457,7 @@ def test_sweep_telemetry_jobs_invariant(clean_telemetry,
     counters (the ISSUE 7 satellite contract); wall-clock series are
     excluded by their invariant=False flag.  Three of the configs share
     ``baseline_a100()``, so both sweeps must replay each distinct
-    (entry, GPU) pair exactly once: the result tier is emptied at
+    (entry, replay key) pair exactly once: the result tier is emptied at
     sweep start (workers forked after the serial sweep inherit none of
     its replays) and each entry group runs in one worker."""
     from repro.experiments.configs import (
@@ -497,6 +503,22 @@ def test_sweep_telemetry_jobs_invariant(clean_telemetry,
         }
         assert doc["cache"]["lookups"] > 0
         assert doc["cache"]["sim_reuses"] == serial_report.stats.sim_reuses
+
+
+def test_eventcore_counts_eager_sleeps(clean_telemetry):
+    from tests.test_sim_eventcore import _eager_chain
+
+    from repro.sim.config import baseline_a100
+    from repro.sim.gpu import simulate_kernel
+
+    simulate_kernel([_eager_chain()], baseline_a100(), core="event")
+    counters = clean_telemetry.snapshot().invariant_counters()
+    events = "repro_eventcore_events_total{type=%s}"
+    assert counters[events % "sleep_eager"] == 7
+    # Every heap push is one sleep, eager or after a blocked poll.
+    assert counters[events % "sleep_heap"] + 7 == (
+        counters["repro_eventcore_heap_pushes_total"]
+    )
 
 
 # -- corediff perf fields ---------------------------------------------------

@@ -28,7 +28,9 @@ from repro.experiments.configs import (
     compiler_tile_config,
     wasp_gpu_config,
 )
-from repro.experiments.runner import TraceCache, run_kernel
+from repro.experiments.runner import (
+    TraceCache, _compiler_options_for, run_kernel,
+)
 from repro.fexec import LaunchConfig, MemoryImage
 from repro.fexec import run_kernel as run_functional
 from repro.fexec.trace import encode_trace_table, encode_traces
@@ -195,12 +197,21 @@ def test_configs_sharing_a_gpu_replay_each_entry_once():
     assert full.fallback_sim is base.sim
     assert cache.stats.sim_reuses == 2
 
-    run_kernel(kernel, wasp_gpu_config(), cache)  # another GPU
-    assert cache.stats.sim_reuses == 2
+    # WASP_GPU is another GPU, but not to an unspecialized kernel: its
+    # hardware acts through the thread-block spec, so the plain replay
+    # is BASELINE's.  Its specialized replay still runs.
+    config = wasp_gpu_config()
+    wasp = run_kernel(kernel, config, cache)
+    assert wasp.fallback_sim is base.sim
+    assert cache.stats.sim_reuses == 3
+    specialized = cache.specialized(
+        kernel, _compiler_options_for(kernel, config)
+    )
+    assert specialized is not None and len(specialized.sims) == 1
 
     cache.clear_results()
     again = run_kernel(kernel, baseline_config(), cache)
-    assert cache.stats.sim_reuses == 2
+    assert cache.stats.sim_reuses == 3
     assert again.sim is not base.sim
     assert again.cycles == base.cycles
 
