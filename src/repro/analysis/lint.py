@@ -32,6 +32,7 @@ from repro.sweeps import Cell, Sweep, registry_kernels
 if TYPE_CHECKING:
     from argparse import Namespace
 
+    from repro.analysis.transval import ValidationReport
     from repro.fuzz.corpus import CorpusEntry
     from repro.workloads.base import Kernel
 
@@ -195,6 +196,9 @@ class KernelValidation:
     matched_stores: int = 0
     source_stores: int = 0
     options_name: str = ""
+    #: The certificate came from an earlier identical compile; not
+    #: serialized.
+    reused: bool = False
 
     @property
     def label(self) -> str:
@@ -235,6 +239,10 @@ class ValidateResult:
         return sum(
             1 for k in self.kernels if k.verdict == "abstain"
         )
+
+    @property
+    def num_reused(self) -> int:
+        return sum(k.reused for k in self.kernels)
 
     @property
     def clean(self) -> bool:
@@ -287,7 +295,7 @@ def validate_kernel(
     program: Program,
     num_warps: int,
     options: WaspCompilerOptions | None = None,
-) -> tuple[CompileResult, "object"]:
+) -> tuple[CompileResult, ValidationReport]:
     """Compile one kernel and run the translation validator over it."""
     from repro.analysis.transval import validate_programs
 
@@ -386,6 +394,7 @@ def _validate_cell(cell: Cell, args: Namespace) -> list[KernelValidation]:
         report=tv.report,
         matched_stores=tv.matched_stores,
         source_stores=tv.source_stores,
+        reused=tv.reused,
     )]
 
 
@@ -451,6 +460,7 @@ def _validate_entry(
             report=report,
             matched_stores=tv.matched_stores,
             source_stores=tv.source_stores,
+            reused=tv.reused,
         )]
     return []
 
@@ -463,7 +473,8 @@ VALIDATE: Sweep[KernelValidation, ValidateResult] = Sweep(
     default_sources=("registry",),
     report=ValidateResult,
     footer=lambda result, elapsed: (
-        f"[validated {len(result.kernels)} compile(s) in {elapsed:.1f}s]"
+        f"[validated {len(result.kernels)} compile(s) in {elapsed:.1f}s; "
+        f"{result.num_reused} certificate(s) reused]"
     ),
     axis=_validate_axis,
     depths_outer=False,

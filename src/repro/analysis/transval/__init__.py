@@ -10,7 +10,8 @@ without executing or unrolling anything.
 
 Findings are the ``WASP-T`` diagnostic family; the verdict is
 three-valued (``equivalent`` / ``not-equivalent`` / ``abstain``), and
-abstention is always explicit — never a silent pass.
+abstention is always explicit — never a silent pass.  Each distinct
+(source, compiled program) pair is certified once per process.
 """
 
 from repro.analysis.transval.effects import Summary, summarize_program
@@ -19,6 +20,7 @@ from repro.analysis.transval.validate import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     ValidationReport,
+    clear_certificates,
     validate_or_raise,
     validate_programs,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "NOT_EQUIVALENT",
     "Summary",
     "ValidationReport",
+    "clear_certificates",
     "summarize_program",
     "validate_or_raise",
     "validate_programs",

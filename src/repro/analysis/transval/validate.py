@@ -23,11 +23,42 @@ into a pass:
 ``abstain``
     no errors, but at least one WASP-T004: the program left the
     validated fragment somewhere, so equivalence is unproven.
+
+Certificates are memoized per process.  Many compiles of one source
+produce the same program (the ring depth often changes nothing), so
+each distinct (source, compiled program) pair is certified once:
+
+* **Key.** :func:`~repro.isa.serialize.program_digest` of both sides:
+  the SHA-256 of the full serialized program — name, thread-block
+  spec, SMEM layout, every instruction field and attr — with the
+  compiler's uid-derived ``key`` attrs renumbered by first appearance.
+  The digest is content-based on both sides; a mutated or injected
+  program has different content and so gets its own certificate.
+* **Why reuse is exact.** A validation reads only the two programs'
+  contents: the effect summaries, the HB solve and the verifier report
+  (under the default :class:`~repro.analysis.resources.VerifyLimits`)
+  are functions of the program.  No analysis reads an instruction's
+  ``uid`` or ``key`` attr, and diagnostics render instructions through
+  ``Instruction.__repr__``, which omits both.  A hit therefore returns
+  what a fresh run would, as a new :class:`ValidationReport` with a
+  copied diagnostic list (the summaries are shared and read-only).  A
+  hit leaves the new compile's ``facts.hb`` and ``facts.report``
+  unsolved; it still opens the ``transval/validate`` span and counts
+  its verdict.
+* **Why one slot is enough.** Every caller validates one source's
+  compiles back to back — ``repro validate`` and fig14 run
+  kernel-outer cells, the fuzz oracle validates one spec's variants,
+  the advisor its candidates — so the memo holds one source: its
+  digest, its effect summary and its certificates.  Validating another
+  source clears the slot, which bounds memory with no size knob.
+
+Exceptions are never memoized, and nothing is written to disk;
+:func:`clear_certificates` empties the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.analysis.diagnostics import (
@@ -40,6 +71,7 @@ from repro.analysis.transval.effects import Summary, summarize_program
 from repro.analysis.transval.match import match_summaries
 from repro.errors import VerificationError
 from repro.isa.program import Program
+from repro.isa.serialize import program_digest
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 
@@ -48,6 +80,7 @@ __all__ = [
     "NOT_EQUIVALENT",
     "ABSTAIN",
     "ValidationReport",
+    "clear_certificates",
     "validate_programs",
     "validate_or_raise",
 ]
@@ -70,6 +103,9 @@ class ValidationReport:
     source_stores: int = 0
     spec_stores: int = 0
     specialized: bool = True
+    #: True when an earlier identical compile's certificate was reused;
+    #: not serialized.
+    reused: bool = field(default=False, compare=False)
     #: Populated for introspection/tests; not serialized.
     source_summary: Summary | None = field(default=None, repr=False)
     spec_summary: Summary | None = field(default=None, repr=False)
@@ -105,6 +141,36 @@ class ValidationReport:
         }
 
 
+class _Certificates:
+    """The memo's one slot: a source, its summary, its certificates."""
+
+    source: str | None
+    source_summary: Summary | None
+    #: Compiled-program digest -> the certificate issued for it.
+    reports: dict[str, ValidationReport]
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.source = None
+        self.source_summary = None
+        self.reports = {}
+
+    def select(self, source: str) -> None:
+        if source != self.source:
+            self.clear()
+            self.source = source
+
+
+_CERTIFICATES = _Certificates()
+
+
+def clear_certificates() -> None:
+    """Forget every memoized certificate and source summary."""
+    _CERTIFICATES.clear()
+
+
 def validate_programs(
     source: Program,
     specialized: Program,
@@ -115,48 +181,71 @@ def validate_programs(
 
     ``facts`` are the specialized program's shared facts (a compile's
     :attr:`CompileResult.facts`); without them private ones are built.
+    A (source, compiled program) pair certified before is answered from
+    the memo (module docstring).
     """
     facts = facts or PipelineFacts(specialized)
     if facts.program is not specialized:
         raise ValueError("facts describe a different program")
     with span("transval", "validate"):
-        report = DiagnosticReport()
-        specialized_output = bool(facts.view.stages)
-        src_sum: Summary | None = None
-        spec_sum: Summary | None = None
-        matched = n_src = n_spec = 0
-
-        if specialized_output:
-            report.extend(_ordering_diagnostics(facts))
-            with span("transval", "summarize"):
-                src_sum = summarize_program(source, side="source")
-                spec_sum = summarize_program(
-                    specialized, side="specialized", facts=facts
-                )
-            with span("transval", "match"):
-                res = match_summaries(src_sum, spec_sum)
-            report.extend(res.diagnostics)
-            matched = res.matched_stores
-            n_src = res.source_stores
-            n_spec = res.spec_stores
-        # An unspecialized compile is the identity transformation: the
-        # compiler bailed before rewriting anything, so the relation
-        # holds trivially and there is nothing to walk.
-
-        report = report.normalized()
-        verdict = _verdict(report)
-        _count(report, verdict)
-        return ValidationReport(
-            kernel=source.name,
-            verdict=verdict,
-            report=report,
-            matched_stores=matched,
-            source_stores=n_src,
-            spec_stores=n_spec,
-            specialized=specialized_output,
-            source_summary=src_sum,
-            spec_summary=spec_sum,
+        _CERTIFICATES.select(program_digest(source))
+        key = program_digest(specialized)
+        cached = _CERTIFICATES.reports.get(key)
+        reused = cached is not None
+        if cached is None:
+            cached = _validate(source, specialized, facts)
+            _CERTIFICATES.reports[key] = cached
+        _count(cached.report, cached.verdict, reused)
+        return replace(
+            cached,
+            report=DiagnosticReport(list(cached.report)),
+            reused=reused,
         )
+
+
+def _validate(
+    source: Program, specialized: Program, facts: PipelineFacts
+) -> ValidationReport:
+    """One uncached validation; the source summary comes from the slot."""
+    report = DiagnosticReport()
+    specialized_output = bool(facts.view.stages)
+    src_sum: Summary | None = None
+    spec_sum: Summary | None = None
+    matched = n_src = n_spec = 0
+
+    if specialized_output:
+        report.extend(_ordering_diagnostics(facts))
+        with span("transval", "summarize"):
+            if _CERTIFICATES.source_summary is None:
+                _CERTIFICATES.source_summary = summarize_program(
+                    source, side="source"
+                )
+            src_sum = _CERTIFICATES.source_summary
+            spec_sum = summarize_program(
+                specialized, side="specialized", facts=facts
+            )
+        with span("transval", "match"):
+            res = match_summaries(src_sum, spec_sum)
+        report.extend(res.diagnostics)
+        matched = res.matched_stores
+        n_src = res.source_stores
+        n_spec = res.spec_stores
+    # An unspecialized compile is the identity transformation: the
+    # compiler bailed before rewriting anything, so the relation holds
+    # trivially and there is nothing to walk.
+
+    report = report.normalized()
+    return ValidationReport(
+        kernel=source.name,
+        verdict=_verdict(report),
+        report=report,
+        matched_stores=matched,
+        source_stores=n_src,
+        spec_stores=n_spec,
+        specialized=specialized_output,
+        source_summary=src_sum,
+        spec_summary=spec_sum,
+    )
 
 
 def validate_or_raise(
@@ -237,13 +326,21 @@ def _verdict(report: DiagnosticReport) -> str:
     return EQUIVALENT
 
 
-def _count(report: DiagnosticReport, verdict: str) -> None:
+def _count(report: DiagnosticReport, verdict: str, reused: bool) -> None:
     # Whether a validation runs at all depends on trace-cache locality
-    # (cached sweeps skip the compile entirely), so like the fuzz
-    # verdict cache these series are ``invariant=False`` — not expected
-    # to be bit-identical across --jobs settings.
+    # (cached sweeps skip the compile entirely), and so does whether it
+    # repeats an earlier compile, so like the fuzz verdict cache these
+    # series are ``invariant=False`` — not expected to be bit-identical
+    # across --jobs settings.
     if not TELEMETRY.enabled:
         return
+    if reused:
+        TELEMETRY.counter(
+            "repro_transval_certificate_reuses_total",
+            help="Validations answered by an earlier identical "
+                 "compile's certificate.",
+            invariant=False,
+        ).inc()
     TELEMETRY.counter(
         "repro_transval_verdicts_total",
         labels={"verdict": verdict},

@@ -35,6 +35,7 @@ from repro.telemetry.spans import span
 
 if TYPE_CHECKING:
     from repro.analysis.facts import PipelineFacts
+    from repro.analysis.transval import ValidationReport
 
 # A100: 192 KB combined L1/SMEM per SM; up to ~164 KB usable as SMEM.
 DEFAULT_SMEM_CAPACITY_WORDS = (164 * 1024) // 4
@@ -142,7 +143,7 @@ class CompileResult:
     diagnostics: list = field(default_factory=list)
     #: Translation-validation report (None when validation is disabled
     #: or the compile was not specialized).
-    transval: object | None = None
+    transval: ValidationReport | None = None
     #: Static facts of the specialized program — view, sites, HB solve,
     #: verifier report — shared by every analysis that reads it (None
     #: when the compile was not specialized).

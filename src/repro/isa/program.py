@@ -12,7 +12,6 @@ warp-specialized programs — the WASP thread-block specification.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -349,11 +348,6 @@ class Program:
             for instr in blk.instructions:
                 parts.append(_canon_instruction(instr))
         return "\n".join(parts)
-
-    def canonical_digest(self) -> str:
-        """SHA-256 hex digest of :meth:`canonical_encoding`."""
-        data = self.canonical_encoding().encode("utf-8")
-        return hashlib.sha256(data).hexdigest()
 
     def clone(self) -> "Program":
         """Deep copy in which every instruction gets a fresh uid.

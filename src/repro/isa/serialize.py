@@ -6,6 +6,13 @@ plain-JSON document from which the exact program structure can be
 rebuilt.  It exists so fuzz corpus entries, cached compiler outputs and
 cross-process tooling can move programs around without pickling.
 
+:func:`program_digest` is the one program hash that covers everything
+an analysis can read — name and thread-block spec included — with the
+compiler's uid-derived ``key`` attrs renumbered so the digest depends
+only on content.  Translation validation memoizes certificates on it,
+and ``tests/test_compile_identity.py`` pins compiles by the same
+:func:`canonical_program_doc`.
+
 Round-trip contract (pinned by ``tests/test_isa_serialize.py``):
 
 * ``decode_x(encode_x(v))`` is structurally equal to ``v`` (operands
@@ -18,8 +25,11 @@ Round-trip contract (pinned by ``tests/test_isa_serialize.py``):
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any
 
+from repro.core.compiler.stagesplit import KEY_ATTR
 from repro.core.specs import NamedQueueSpec, ThreadBlockSpec
 from repro.errors import IsaError
 from repro.isa.instruction import Instruction
@@ -225,3 +235,32 @@ def decode_program(doc: dict[str, Any]) -> Program:
         for instr_doc in blk_doc.get("instructions", []):
             blk.append(decode_instruction(instr_doc))
     return program
+
+
+def canonical_program_doc(program: Program) -> dict[str, Any]:
+    """:func:`encode_program` with each ``key`` attr renumbered.
+
+    The ``key`` attr every stage instruction carries is the uid of the
+    working-program instruction it came from.  Uids come from a
+    process-global counter, so each distinct key is renumbered by first
+    appearance: the document is independent of what the process built
+    before while still recording which instructions share an origin.
+    """
+    doc = encode_program(program)
+    numbers: dict[object, int] = {}
+    for block in doc["blocks"]:
+        for instr in block["instructions"]:
+            attrs = instr.get("attrs")
+            if attrs and KEY_ATTR in attrs:
+                attrs[KEY_ATTR] = numbers.setdefault(
+                    attrs[KEY_ATTR], len(numbers)
+                )
+    return doc
+
+
+def program_digest(program: Program) -> str:
+    """SHA-256 hex digest of :func:`canonical_program_doc`'s compact JSON."""
+    text = json.dumps(
+        canonical_program_doc(program), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -5,10 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.transval import clear_certificates
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.isa import ProgramBuilder, SpecialReg
 
 WIDTH = 16  # narrower warps keep the functional runs fast in tests
+
+
+@pytest.fixture(autouse=True)
+def _fresh_certificates():
+    """Each test starts with no memoized translation-validation
+    certificate, so whether a validation runs does not depend on which
+    test ran before."""
+    clear_certificates()
 
 
 def build_stream_program(n: int, base_in: int, base_out: int,

@@ -1,15 +1,14 @@
 """Compiled programs are pinned bit for bit.
 
 Every digest in ``tests/compile_digests.json`` is the SHA-256 of one
-compile's canonical JSON: :func:`~repro.isa.serialize.encode_program`
-of the output program plus ``specialized``, ``num_stages``, ``reason``,
-``double_buffered``, ``fused_ldgsts`` and the WASP-TMA offload report.
-The ``key`` attr every stage instruction carries is the uid of the
-working-program instruction it came from; uids come from a
-process-global counter, so each distinct key is renumbered by first
-appearance.  That keeps the digest independent of what the process
-compiled before while still pinning which instructions share an
-origin.
+compile's canonical JSON:
+:func:`~repro.isa.serialize.canonical_program_doc` of the output
+program (``encode_program`` with the uid-derived ``key`` attrs
+renumbered by first appearance) plus ``specialized``, ``num_stages``,
+``reason``, ``double_buffered``, ``fused_ldgsts`` and the WASP-TMA
+offload report.  Renumbering keeps the digest independent of what the
+process compiled before while still pinning which instructions share
+an origin.
 
 Three families are pinned, all compiled with ``verify`` and
 ``validate`` off (neither changes the output program):
@@ -39,13 +38,12 @@ from pathlib import Path
 
 from repro.analysis.lint import standard_option_sets
 from repro.core.compiler import CompileResult, WaspCompiler
-from repro.core.compiler.stagesplit import KEY_ATTR
 from repro.errors import ReproError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.oracle import OPTION_SETS
 from repro.fuzz.spec import generate_spec
-from repro.isa.serialize import encode_program
+from repro.isa.serialize import canonical_program_doc
 from repro.sweeps import registry_kernels
 
 DIGESTS = Path(__file__).resolve().parent / "compile_digests.json"
@@ -54,21 +52,9 @@ DEPTHS = (2, 4, 8)
 FUZZ_SEEDS = range(200)
 
 
-def _renumber_keys(doc: dict) -> None:
-    numbers: dict[object, int] = {}
-    for block in doc["blocks"]:
-        for instr in block["instructions"]:
-            attrs = instr.get("attrs")
-            if attrs and KEY_ATTR in attrs:
-                attrs[KEY_ATTR] = numbers.setdefault(
-                    attrs[KEY_ATTR], len(numbers)
-                )
-
-
 def result_text(result: CompileResult) -> str:
     """Canonical JSON of one compile's output."""
-    program = encode_program(result.program)
-    _renumber_keys(program)
+    program = canonical_program_doc(result.program)
     offload = result.offload
     doc = {
         "program": program,

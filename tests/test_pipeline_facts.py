@@ -4,7 +4,9 @@ Every analysis of a compiled program — verifier, translation
 validation, lint, racediff and the fuzz oracle — reads the compile's
 :class:`PipelineFacts` instead of rebuilding the view, the site walk
 and the happens-before solve.  These tests pin that sharing, and that
-facts never outlive the program they describe.
+facts never outlive the program they describe.  A compile whose
+program was already certified reuses that certificate and solves
+nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.fuzz.generator import build_kernel
 from repro.fuzz.mutate import apply_mutation
 from repro.fuzz.oracle import run_oracle
 from repro.fuzz.spec import generate_spec
+from repro.isa.serialize import program_digest
 from repro.workloads import get_benchmark
 
 #: A fuzz seed every oracle option set specializes, each with a
@@ -84,6 +87,23 @@ def _racediff(kernel):
 def test_one_hb_solve_per_specialized_program(solves, path):
     path(_kernel())
     assert solves["specialized"] == 1
+    assert solves["hb"] == 1
+
+
+def test_one_hb_solve_per_distinct_program_across_depths(solves):
+    # Ring depth changes nothing in this kernel's compile: the three
+    # compiles coincide and share one certificate, hence one HB solve.
+    kernel = _kernel()
+    digests = set()
+    for depth in (2, 4, 8):
+        result, tv = validate_kernel(
+            kernel.program, kernel.launch.num_warps,
+            WaspCompilerOptions(pipeline_depth=depth),
+        )
+        digests.add(program_digest(result.program))
+        assert tv.verdict == EQUIVALENT
+    assert len(digests) == 1
+    assert solves["specialized"] == 3
     assert solves["hb"] == 1
 
 

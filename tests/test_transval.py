@@ -11,7 +11,9 @@ Tentpole acceptance, statically checked end to end:
   ``not-equivalent`` (never on abstention), and attaches the report to
   the :class:`CompileResult`;
 * an unspecialized compile is the identity relation: trivially
-  equivalent with nothing walked.
+  equivalent with nothing walked;
+* certificates are memoized per distinct (source, compiled program):
+  a reuse answers exactly what a fresh validation would.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.analysis.transval import (
     ABSTAIN,
     EQUIVALENT,
     NOT_EQUIVALENT,
+    clear_certificates,
     validate_or_raise,
     validate_programs,
 )
@@ -313,6 +316,141 @@ def test_report_json_shape():
 
 
 # ---------------------------------------------------------------------------
+# Certificate memo
+
+
+def test_memo_parity_on_certify_subset():
+    """Memoized certificates equal fresh ones on the toolchain
+    benchmark's certify subset (every fifth registry kernel)."""
+    from dataclasses import replace
+
+    from repro.analysis.lint import standard_option_sets, validate_kernel
+    from repro.sweeps import registry_kernels
+
+    cells = []
+    for _bench, kernel in registry_kernels(None, 0.25)[::5]:
+        for _name, options in standard_option_sets():
+            for depth in (2, 4, 8):
+                result, tv = validate_kernel(
+                    kernel.program, kernel.launch.num_warps,
+                    replace(options, pipeline_depth=depth),
+                )
+                cells.append((kernel.program, result.program, tv))
+    assert len(cells) == 132
+    assert sum(tv.reused for *_, tv in cells) == 103
+    for source, program, tv in cells:
+        clear_certificates()
+        fresh = validate_programs(source, program)
+        assert not fresh.reused
+        assert tv.to_json() == fresh.to_json()
+
+
+#: A fuzz seed whose default compile specializes with barrier arrives.
+_ARRIVE_SEED = 5
+
+
+def _compiled(seed=_ARRIVE_SEED):
+    kernel = build_kernel(generate_spec(seed))
+    result = WaspCompiler(
+        WaspCompilerOptions(verify=False, validate=False)
+    ).compile(kernel.program, kernel.launch.num_warps)
+    assert result.specialized
+    return kernel.program, result.program
+
+
+def test_memo_key_covers_tb_spec_and_name():
+    from dataclasses import replace
+
+    source, program = _compiled()
+    spec = program.tb_spec
+    assert spec.barrier_initial
+    validate_programs(source, program)
+
+    credit = program.clone()
+    credit.tb_spec = replace(spec, barrier_initial={
+        name: count + 1 for name, count in spec.barrier_initial.items()
+    })
+    renamed = program.clone()
+    renamed.name = f"{program.name}_renamed"
+    for other in (credit, renamed):
+        assert not validate_programs(source, other).reused
+    # The source side is keyed on content too: a clone shares the slot.
+    assert validate_programs(source.clone(), program).reused
+
+
+def test_memo_never_certifies_a_mutant_of_a_certified_compile():
+    source, program = _compiled()
+    assert validate_programs(source, program).verdict == EQUIVALENT
+    mutated = apply_mutation(program, "drop-arrive")
+    assert mutated is not None
+    bad = validate_programs(source, mutated)
+    assert not bad.reused
+    assert bad.verdict == NOT_EQUIVALENT
+
+
+def test_memo_holds_one_source(monkeypatch):
+    import repro.analysis.transval.validate as validate_module
+
+    built = []
+    real = validate_module.summarize_program
+
+    def summarize(program, *, side, **kwargs):
+        if side == "source":
+            built.append(program)
+        return real(program, side=side, **kwargs)
+
+    monkeypatch.setattr(validate_module, "summarize_program", summarize)
+    a = _compiled(_ARRIVE_SEED)
+    b = _compiled(2)
+    for source, program in (a, b, a):
+        assert not validate_programs(source, program).reused
+    assert [p is s for p, s in zip(built, (a[0], b[0], a[0]))] == [True] * 3
+    assert validate_programs(*a).reused
+    assert len(built) == 3
+
+
+def test_memo_hands_out_copies():
+    from repro.analysis.diagnostics import Diagnostic
+
+    source, program = _compiled()
+    first = validate_programs(source, program)
+    expected = first.to_json()
+    first.report.diagnostics.clear()
+    first.verdict = ABSTAIN
+    hit = validate_programs(source, program)
+    assert hit.reused
+    assert hit.to_json() == expected
+    hit.report.add(Diagnostic(rule="WASP-T004", message="edited"))
+    assert validate_programs(source, program).to_json() == expected
+
+
+def test_memo_hit_opens_only_the_validate_span_and_counts():
+    from repro.telemetry.registry import TELEMETRY
+    from repro.telemetry.spans import SPANS
+
+    source, program = _compiled()
+    validate_programs(source, program)
+    was_enabled = TELEMETRY.enabled
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    SPANS.clear()
+    try:
+        validate_programs(source, program)
+        spans = {s.name for s in SPANS.by_subsystem()["transval"]}
+        rows = {
+            r["name"]: r["value"] for r in TELEMETRY.snapshot().to_list()
+            if r["kind"] == "counter"
+        }
+    finally:
+        TELEMETRY.reset()
+        if not was_enabled:
+            TELEMETRY.disable()
+    assert spans == {"validate"}
+    assert rows["repro_transval_certificate_reuses_total"] == 1
+    assert rows["repro_transval_verdicts_total"] == 1
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -340,6 +478,17 @@ def test_cli_validate_standard_option_sets(capsys):
     rc = main(["validate", "pointnet", "--options", "standard"])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_cli_validate_footer_counts_reused_certificates(capsys):
+    import re
+
+    from repro.cli import main
+
+    rc = main(["validate", "pointnet", "--depths", "2,4,8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert re.search(r"; [1-9][0-9]* certificate\(s\) reused\]", out)
 
 
 def test_cli_lint_validate_flag(capsys):
