@@ -39,7 +39,7 @@ from repro.profiling.stalls import StallCause
 from repro.sim.barriers import TimedArriveWait, TimedSyncBarrier
 from repro.sim.config import GPUConfig, QueueImpl
 from repro.sim.memory import MemorySystem
-from repro.sim.occupancy import Occupancy, compute_occupancy
+from repro.sim.occupancy import Occupancy, trace_occupancy
 from repro.sim.sm import _SMEM_POP_EXTRA, _SMEM_PUSH_EXTRA
 
 _INF = float("inf")
@@ -182,14 +182,7 @@ class DataflowWalk:
         first = traces[0]
         self.spec = first.tb_spec
         self.warp_width = first.warp_width
-        self.occupancy = occupancy or compute_occupancy(
-            gpu,
-            self.spec,
-            num_warps=first.num_warps,
-            program_registers=first.program_registers,
-            smem_words=first.smem_words,
-            warp_width=first.warp_width,
-        )
+        self.occupancy = occupancy or trace_occupancy(gpu, traces)
         self.memory = MemorySystem(gpu)
         self.smem_queue = gpu.features.queue_impl is QueueImpl.SMEM
         self._heap: list[tuple[float, int, WarpActor | TmaActor]] = []

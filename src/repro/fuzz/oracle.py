@@ -26,6 +26,15 @@ For one generated spec the oracle:
    ``transval-false-equivalent`` — the validator must never certify a
    broken program.
 
+Within one run the oracle does each distinct piece of work once: a
+clean variant whose compiled program (by
+:func:`~repro.isa.serialize.program_digest`) repeats an earlier
+variant's reuses that variant's dynamic-check outcome, re-reported
+under its own option set and verifier rules; translation validation and
+the static/dynamic agreement check still run per variant.  Injected
+runs never reuse.  The metamorphic ladder memoizes its replays the same
+way (:mod:`repro.fuzz.metamorphic`).
+
 Passing verdicts are persisted content-addressed in the trace store
 (``.repro_cache/`` by default), so repeated fuzz runs over identical
 seeds are cache hits, not recomputation.  Failures are never cached.
@@ -48,6 +57,8 @@ from repro.fexec.trace import KernelTrace
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.spec import SPEC_VERSION, FuzzSpec
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
+from repro.isa.serialize import program_digest
 from repro.telemetry.registry import TELEMETRY
 from repro.workloads.base import Kernel
 
@@ -220,6 +231,18 @@ def _tel_verdict(outcome: str) -> None:
     ).inc()
 
 
+def count_reuse(kind: str) -> None:
+    """Count one piece of oracle work answered by an earlier identical
+    one (``replay`` or ``dynamic``).  Reuse depends only on the
+    program, so the series is ``invariant=True``."""
+    if not TELEMETRY.enabled:
+        return
+    TELEMETRY.counter(
+        "repro_fuzz_oracle_reuses_total", {"kind": kind},
+        help="Fuzz oracle replays and dynamic checks reused within a run",
+    ).inc()
+
+
 def _count_opcode(traces: list[KernelTrace], *opcodes: Opcode) -> int:
     return sum(
         1
@@ -306,9 +329,12 @@ def run_oracle(
     want = reference.snapshot()
     ref_stores = _count_opcode(ref_result.traces, Opcode.STG)
 
+    # Dynamic-check outcome per compiled-program digest.
+    outcomes: dict[str, list[tuple[str, str]]] = {}
     for name, options in OPTION_SETS:
         _check_one_variant(
             report, kernel, name, options, want, ref_stores, inject,
+            outcomes,
         )
 
     if metamorphic and not report.failures:
@@ -336,6 +362,7 @@ def _check_one_variant(
     want: np.ndarray,
     ref_stores: int,
     inject: str | None,
+    outcomes: dict[str, list[tuple[str, str]]],
 ) -> None:
     spec = report.spec
 
@@ -394,11 +421,25 @@ def _check_one_variant(
     verdict = _transval_verdict(kernel, facts, fail)
     report.transval_verdicts[name] = verdict
 
+    def dynamic() -> list[tuple[str, str]]:
+        return _dynamic_outcome(
+            kernel, facts.program, result.num_stages, want, ref_stores,
+            inject,
+        )
+
+    if inject is not None:
+        outcome = dynamic()  # each mutated variant runs
+    else:
+        digest = program_digest(facts.program)
+        if digest in outcomes:
+            count_reuse("dynamic")
+        else:
+            outcomes[digest] = dynamic()
+        outcome = outcomes[digest]
     before = len(report.failures)
-    _run_dynamic_checks(
-        kernel, facts, result, want, ref_stores, inject, fail
-    )
-    dynamic_failed = len(report.failures) > before
+    for check, message in outcome:
+        fail(check, message, facts=facts)
+    dynamic_failed = bool(outcome)
 
     # Static/dynamic agreement: the validator must never certify a
     # program the functional oracle rejects, and on clean compiles it
@@ -443,21 +484,23 @@ def _transval_verdict(kernel: Kernel, facts: PipelineFacts, fail) -> str:
         return "crash"
 
 
-def _run_dynamic_checks(
+def _dynamic_outcome(
     kernel: Kernel,
-    facts: PipelineFacts,
-    result,
+    program: Program,
+    num_stages: int,
     want: np.ndarray,
     ref_stores: int,
     inject: str | None,
-    fail,
-) -> None:
+) -> list[tuple[str, str]]:
+    """Functionally execute one compiled variant against the reference.
+
+    Returns the ``(check, message)`` pairs it violates, in report
+    order; empty means every dynamic check held.
+    """
     launch = replace(
-        kernel.launch,
-        num_warps=kernel.launch.num_warps * result.num_stages,
+        kernel.launch, num_warps=kernel.launch.num_warps * num_stages,
     )
     image = kernel.image_factory()
-    program = facts.program
     try:
         # Injected corruptions additionally run under the SMEM
         # sanitizer: orderings a mutation breaks without deadlocking
@@ -467,46 +510,40 @@ def _run_dynamic_checks(
             program, image, launch, sanitize=inject is not None
         )
     except ReproError as exc:
-        fail(
+        return [(
             "deadlock" if "deadlock" in type(exc).__name__.lower()
             else "runtime-crash",
             f"{type(exc).__name__}: {str(exc)[:300]}",
-            facts=facts,
-        )
-        return
+        )]
 
     if spec_result.races:
-        fail(
+        return [(
             "sanitizer-race",
             f"{len(spec_result.races)} unordered SMEM access pair(s); "
             f"first: {spec_result.races[0].format()}",
-            facts=facts,
-        )
-        return
+        )]
 
     if not np.array_equal(image.snapshot(), want):
         got, exp = image.snapshot(), want
         diff = np.flatnonzero(got != exp)
         first = int(diff[0]) if diff.size else -1
-        fail(
+        return [(
             "memory-divergence",
             f"{diff.size} words differ; first at {first} "
             f"(got {got[first]!r}, want {exp[first]!r})",
-            facts=facts,
-        )
-        return
+        )]
 
+    violations = []
     spec_stores = _count_opcode(spec_result.traces, Opcode.STG)
     if spec_stores != ref_stores:
-        fail(
+        violations.append((
             "instr-accounting",
             f"dynamic STG count changed: {ref_stores} -> {spec_stores}",
-            facts=facts,
-        )
+        ))
     for qid, (pushes, pops) in _queue_balance(spec_result.traces).items():
         if pushes != pops:
-            fail(
+            violations.append((
                 "queue-balance",
                 f"queue {qid}: {pushes} pushes vs {pops} pops",
-                facts=facts,
-            )
+            ))
+    return violations

@@ -71,12 +71,15 @@ def replay_key(
     occupancy and queue code ignore those features, and every policy
     but LRR ranks single-stage, queue-less warps exactly as GTO does:
     such a replay is BASELINE's, unless it runs pipeline scheduling
-    under LRR.
+    under LRR.  For the same reason ``rfq_size`` is reset to the
+    default on spec-less traces: it sizes only RFQ channels and their
+    register-file share (§III-C), and such traces have neither.
     """
     features = config.features
     if any(trace.tb_spec is not None for trace in traces):
         reduced = replace(features, explicit_naming=False, wasp_tma=False)
-    elif (
+        return resolve_core(config, core), replace(config, features=reduced)
+    if (
         features.pipeline_scheduling
         and features.scheduling_policy is SchedulingPolicy.LRR
     ):
@@ -86,7 +89,9 @@ def replay_key(
         )
     else:
         reduced = WaspFeatures()
-    return resolve_core(config, core), replace(config, features=reduced)
+    return resolve_core(config, core), replace(
+        config, features=reduced, rfq_size=GPUConfig.rfq_size
+    )
 
 
 def make_simulator(

@@ -11,11 +11,15 @@ how register savings turn into performance (Figure 15).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.mapping import register_footprint, rfq_register_words
 from repro.core.specs import ThreadBlockSpec
 from repro.errors import ResourceError
 from repro.sim.config import GPUConfig, QueueImpl
+
+if TYPE_CHECKING:
+    from repro.fexec.trace import KernelTrace
 
 
 @dataclass(frozen=True)
@@ -74,4 +78,18 @@ def compute_occupancy(
         register_words_per_tb=reg_words,
         smem_words_per_tb=smem_total,
         limited_by=limiter,
+    )
+
+
+def trace_occupancy(config: GPUConfig, traces: list[KernelTrace]) -> Occupancy:
+    """The occupancy a replay of ``traces`` on ``config`` runs at when
+    none is pinned: :func:`compute_occupancy` of the first trace."""
+    first = traces[0]
+    return compute_occupancy(
+        config,
+        first.tb_spec,
+        num_warps=first.num_warps,
+        program_registers=first.program_registers,
+        smem_words=first.smem_words,
+        warp_width=first.warp_width,
     )

@@ -56,7 +56,7 @@ from repro.profiling.stalls import TIMELINE_BUCKET, StallCause
 from repro.sim.barriers import INFINITY, BarrierFile
 from repro.sim.config import GPUConfig, QueueImpl
 from repro.sim.memory import MemorySystem
-from repro.sim.occupancy import Occupancy, compute_occupancy
+from repro.sim.occupancy import Occupancy, trace_occupancy
 from repro.sim.queues import QueueFile
 from repro.sim.results import SMStats, TimelineBucket
 from repro.sim.tma import TmaEngine
@@ -186,17 +186,8 @@ class SMSimulator:
         # the event trace (covers TMA traffic too); the Figure-3
         # utilization timeline keeps its issue-time semantics below.
         self.memory.profiler = profiler
-        first = traces[0]
-        spec = first.tb_spec
-        self.spec: ThreadBlockSpec | None = spec
-        self.occupancy = occupancy or compute_occupancy(
-            config,
-            spec,
-            num_warps=first.num_warps,
-            program_registers=first.program_registers,
-            smem_words=first.smem_words,
-            warp_width=first.warp_width,
-        )
+        self.spec: ThreadBlockSpec | None = traces[0].tb_spec
+        self.occupancy = occupancy or trace_occupancy(config, traces)
         # Hot-loop constants, resolved once (the config is frozen).
         features = config.features
         self._policy = features.scheduling_policy

@@ -136,3 +136,69 @@ def test_violations_are_reported_not_raised(monkeypatch):
                         kernel.launch)
     failures = meta.check_timing_invariants(spec, kernel, result.traces)
     assert [f.check for f in failures] == ["timing-stall-accounting"]
+
+
+def _spy_replays(monkeypatch, tamper=None):
+    """Record every replay ``check_timing_invariants`` runs; ``tamper``
+    may rewrite the n-th (0-based) result."""
+    import repro.fuzz.metamorphic as meta
+
+    real = meta.simulate_kernel
+    replays = []
+
+    def spy(traces, gpu, occupancy=None, **kwargs):
+        sim = real(traces, gpu, occupancy=occupancy, **kwargs)
+        if tamper is not None:
+            sim = tamper(len(replays), sim)
+        replays.append(sim)
+        return sim
+
+    monkeypatch.setattr(meta, "simulate_kernel", spy)
+    return replays
+
+
+@pytest.mark.parametrize("seed", [STREAMING_SEED, TILED_SEED])
+def test_ladder_replays_each_observable_gpu_once(monkeypatch, seed):
+    """On baseline traces the x1.0 bandwidth rung, the 400-cycle
+    latency rung and the three RFQ rungs are ``base``; the determinism
+    check still replays ``base`` afresh."""
+    replays = _spy_replays(monkeypatch)
+    spec = generate_spec(seed)
+    kernel, traces = _baseline_traces(seed)
+    assert check_timing_invariants(spec, kernel, traces) == []
+    assert len(replays) == 6
+    base, again = replays[:2]
+    assert again is not base and again == base
+
+
+@pytest.mark.parametrize("seed", [STREAMING_SEED, TILED_SEED])
+def test_merged_rungs_equal_a_fresh_replay(seed):
+    """Every rung the ladder reads from ``base`` replays to ``base``."""
+    from repro.fuzz.metamorphic import RFQ_LADDER
+    from repro.sim.occupancy import trace_occupancy
+
+    _kernel, traces = _baseline_traces(seed)
+    base_gpu = wasp_gpu()
+    base = simulate_kernel(traces, base_gpu)
+    pinned = trace_occupancy(wasp_gpu(rfq_size=RFQ_LADDER[0]), traces)
+    assert simulate_kernel(traces, base_gpu.scale_bandwidth(1.0)) == base
+    assert simulate_kernel(
+        traces, replace(base_gpu, dram_latency=400)
+    ) == base
+    for rfq in RFQ_LADDER:
+        assert simulate_kernel(
+            traces, wasp_gpu(rfq_size=rfq), occupancy=pinned
+        ) == base
+
+
+def test_nondeterministic_second_replay_is_reported(monkeypatch):
+    """``again`` is a fresh replay: a simulator whose second run of
+    ``base`` differs is caught."""
+    def tamper(index, sim):
+        return replace(sim, cycles=sim.cycles + 1) if index == 1 else sim
+
+    _spy_replays(monkeypatch, tamper)
+    spec = generate_spec(STREAMING_SEED)
+    kernel, traces = _baseline_traces(STREAMING_SEED)
+    failures = check_timing_invariants(spec, kernel, traces)
+    assert [f.check for f in failures] == ["timing-nondeterminism"]

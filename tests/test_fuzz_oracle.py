@@ -100,3 +100,92 @@ def test_summary_mentions_check_and_seed():
     assert "memory-divergence" in text
     assert "seed=7" in text
     assert "full" in text
+
+
+#: Seed whose ``full``, ``two-stage`` and ``deep-ring`` variants
+#: compile to one program; every variant has a push to drop.
+REPEATING_SEED = 0
+
+
+def variant_digests(spec) -> dict[str, str]:
+    """Compiled-program digest of each option set that specializes."""
+    from dataclasses import replace
+
+    from repro.core.compiler import WaspCompiler
+    from repro.isa.serialize import program_digest
+
+    kernel = build_kernel(spec)
+    digests = {}
+    for name, options in OPTION_SETS:
+        result = WaspCompiler(replace(options, validate=False)).compile(
+            kernel.program, num_warps=kernel.launch.num_warps
+        )
+        if result.specialized:
+            digests[name] = program_digest(result.program)
+    return digests
+
+
+def _count_fexec(monkeypatch) -> list[int]:
+    import repro.fuzz.oracle as oracle
+
+    real = oracle.run_kernel
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "run_kernel", counting)
+    return calls
+
+
+def test_repeated_programs_execute_once(monkeypatch):
+    spec = generate_spec(REPEATING_SEED)
+    digests = variant_digests(spec)
+    distinct = len(set(digests.values()))
+    assert distinct < len(digests) == len(OPTION_SETS)
+    calls = _count_fexec(monkeypatch)
+    report = run_oracle(spec, metamorphic=False, use_verdict_cache=False)
+    assert report.passed
+    assert len(report.transval_verdicts) == len(digests)
+    # The reference run, then one run per distinct compiled program.
+    assert calls[0] == 1 + distinct
+
+
+def test_injected_variants_each_execute(monkeypatch):
+    spec = generate_spec(REPEATING_SEED)
+    calls = _count_fexec(monkeypatch)
+    report = run_oracle(
+        spec, metamorphic=False, inject="drop-push",
+        use_verdict_cache=False,
+    )
+    assert calls[0] == 1 + len(OPTION_SETS)
+    assert {f.options_name for f in report.failures} == {
+        name for name, _o in OPTION_SETS
+    }
+
+
+def test_reused_failure_is_reported_under_each_variant(monkeypatch):
+    import repro.fuzz.oracle as oracle
+
+    spec = generate_spec(REPEATING_SEED)
+    digests = variant_digests(spec)
+    runs = [0]
+
+    def forced(*args, **kwargs):
+        runs[0] += 1
+        return [("memory-divergence", "forced")]
+
+    monkeypatch.setattr(oracle, "_dynamic_outcome", forced)
+    report = run_oracle(spec, metamorphic=False, use_verdict_cache=False)
+    assert runs[0] == len(set(digests.values()))
+    diverged = [
+        f for f in report.failures if f.check == "memory-divergence"
+    ]
+    assert [f.options_name for f in diverged] == list(digests)
+    assert all(f.message == "forced" for f in diverged)
+    # Each variant is still cross-checked against its own certificate.
+    assert {
+        f.options_name for f in report.failures
+        if f.check == "transval-false-equivalent"
+    } == set(digests)

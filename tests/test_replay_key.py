@@ -8,7 +8,9 @@ those under its key's GPU.  This module checks exactly that for every
 replay the evaluation configurations ask the result tier for: each
 kernel's plain and specialized entries under the GPUs of the Figure
 14, 15 and 17 configurations (the CUTLASS GPU of GEMM kernels
-included).  Tier 1 checks the toolchain benchmark's 11-kernel subset;
+included), and the WASP GPU at every register-file-queue size of the
+Figure 18 sweep and of the fuzz oracle's metamorphic RFQ ladder.
+Tier 1 checks the toolchain benchmark's 11-kernel subset;
 CI checks the whole registry::
 
     python -m tests.test_replay_key
@@ -28,12 +30,15 @@ from tests.test_sim_identity import sim_digest
 
 from repro.analysis.perfmodel.model import predict_traces
 from repro.errors import CompilerError, ResourceError
+from repro.fuzz.metamorphic import RFQ_LADDER
 from repro.experiments.configs import (
     gto_wasp_hw_config,
     progressive_feature_configs,
     scheduling_policy_configs,
     standard_configs,
+    wasp_gpu_config,
 )
+from repro.experiments.fig18 import DEFAULT_SIZES
 from repro.experiments.runner import (
     TraceCache, _compiler_options_for, _gpu_for,
 )
@@ -49,10 +54,15 @@ SCALE = 0.25
 Replay = tuple[str, list, GPUConfig, str]
 
 
+#: RFQ sizes of the Figure 18 sweep and the metamorphic RFQ ladder.
+RFQ_SIZES = tuple(sorted(set(DEFAULT_SIZES) | set(RFQ_LADDER)))
+
+
 def _configs():
     return [
         *standard_configs(), *progressive_feature_configs(),
         *scheduling_policy_configs(), gto_wasp_hw_config(),
+        *(wasp_gpu_config(rfq_size=size) for size in RFQ_SIZES),
     ]
 
 
@@ -139,6 +149,31 @@ def test_every_replay_matches_its_key(subset):
     assert len(keys) < len(found)
     # ... and none of the merged ones is told apart by a replay.
     assert mismatches(found) == []
+
+
+def test_rfq_size_merges_only_spec_less_replays(subset):
+    """A spec-less replay has no RFQ channels and no RFQ register
+    share, so every RFQ size keys to the default; a specialized one
+    keeps one key per size."""
+    kernels, cache, _found = subset
+    gpus = [wasp_gpu(rfq_size=size) for size in RFQ_SIZES]
+    specialized = 0
+    for _bench, kernel in kernels:
+        traces = cache.original(kernel).traces
+        assert {replay_key(gpu, traces) for gpu in gpus} == {
+            replay_key(wasp_gpu(), traces)
+        }
+        options = _compiler_options_for(kernel, wasp_gpu_config())
+        try:
+            entry = cache.specialized(kernel, options)
+        except CompilerError:
+            entry = None
+        if entry is None:
+            continue
+        specialized += 1
+        keys = {replay_key(gpu, entry.traces) for gpu in gpus}
+        assert len(keys) == len(gpus)
+    assert specialized > 0
 
 
 def test_lrr_pipeline_scheduling_keeps_its_own_key(subset):

@@ -521,6 +521,25 @@ def test_eventcore_counts_eager_sleeps(clean_telemetry):
     )
 
 
+def test_fuzz_oracle_counts_reused_work(clean_telemetry):
+    from tests.test_fuzz_oracle import REPEATING_SEED, variant_digests
+
+    from repro.fuzz.oracle import run_oracle
+    from repro.fuzz.spec import generate_spec
+
+    spec = generate_spec(REPEATING_SEED)
+    report = run_oracle(spec, use_verdict_cache=False)
+    assert report.passed
+    digests = variant_digests(spec)
+    counters = clean_telemetry.snapshot().invariant_counters()
+    reuses = "repro_fuzz_oracle_reuses_total{kind=%s}"
+    # x1.0 bandwidth, 400-cycle latency and the three RFQ rungs.
+    assert counters[reuses % "replay"] == 5
+    assert counters[reuses % "dynamic"] == (
+        len(digests) - len(set(digests.values()))
+    )
+
+
 # -- corediff perf fields ---------------------------------------------------
 
 
