@@ -1,22 +1,21 @@
 """Parallel experiment runner: kernel×config fan-out over a process pool.
 
 Every figure sweep decomposes into independent (kernel, configuration)
-timing tasks.  This module fans them out over ``concurrent.futures``
-worker processes, with two properties the figures rely on:
+timing tasks.  :func:`fan_out` is the one place work crosses a process
+boundary — sweeps and ``repro fuzz`` both go through it — and
+:func:`run_sweep` gives the figures two properties they rely on:
 
 * **Determinism** — results are assembled by task identity, so
   ``--jobs N`` produces numerically identical figures to ``--jobs 1``.
-* **No duplicated trace generation** — when the persistent trace cache
-  is enabled, a *warm phase* first generates each unique (kernel,
-  compiler-options) trace exactly once across the pool; the simulate
-  phase then runs entirely from cache hits.
-* **No duplicated replay** — the simulate phase dispatches one pool
-  unit per kernel content digest, so every cell that can share a cache
-  entry's result tier runs in the same worker, and serial and parallel
-  sweeps simulate the same distinct (entry, GPU) set.
+* **No duplicated work** — tasks are grouped by kernel content digest
+  and each group is one fan-out unit, at every job count.  Trace-cache
+  keys and result-tier entries start with that digest, so every cell
+  that can share a trace or a replay runs in the same process: no two
+  workers generate the same trace, and serial and parallel sweeps
+  simulate the same distinct (entry, GPU) set.
 
 Job count comes from ``jobs=`` (CLI ``--jobs``), else the
-``REPRO_JOBS`` environment variable, else 1 (serial, no pool).
+``REPRO_JOBS`` environment variable, else 1 (in-process, no pool).
 Workers communicate by task descriptor (benchmark name, scale, kernel
 name, config) because kernels hold closure-based image factories that
 cannot cross process boundaries; each worker rebuilds its kernels from
@@ -28,25 +27,27 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
-from repro.errors import CompilerError
+from repro.errors import ReproError
 from repro.experiments.configs import EvalConfig
 from repro.experiments.runner import (
     GLOBAL_CACHE,
     BenchmarkResult,
     CacheStats,
     KernelResult,
-    _compiler_options_for,
     harvest_cache_stats,
     run_kernel,
 )
-from repro.telemetry.registry import (
-    SECONDS_BUCKETS,
-    TELEMETRY,
-    MetricsSnapshot,
-)
+from repro.telemetry.registry import SECONDS_BUCKETS, TELEMETRY
 from repro.workloads import get_benchmark
 from repro.workloads.base import Benchmark
 
@@ -105,7 +106,6 @@ class TaskTiming:
     benchmark: str
     kernel: str
     config_name: str
-    phase: str  # 'warm' or 'simulate'
     seconds: float
 
 
@@ -186,16 +186,12 @@ class SweepReport:
     def to_json(self) -> dict[str, object]:
         """Structured form for sweep/CI artifacts (cache stats
         included so hit/miss behaviour is captured per run)."""
-        phases: dict[str, int] = {}
-        for timing in self.timings:
-            phases[timing.phase] = phases.get(timing.phase, 0) + 1
         return {
             "jobs": self.jobs,
             "num_tasks": self.num_tasks,
             "wall_seconds": round(self.wall_seconds, 4),
             "worker_seconds": round(self.worker_seconds, 4),
             "utilization": round(self.utilization, 4),
-            "tasks_by_phase": phases,
             "cache": self.stats.to_json(),
             "issued_total": self.issued_total,
             "prediction_rows": len(self.prediction_rows),
@@ -267,7 +263,10 @@ def _record_report(report: SweepReport) -> None:
     _LAST_REPORT = report
 
 
-# -- worker side ------------------------------------------------------------
+# -- the fan-out ------------------------------------------------------------
+
+Unit = TypeVar("Unit")
+Result = TypeVar("Result")
 
 
 def _worker_init(
@@ -280,58 +279,124 @@ def _worker_init(
         TELEMETRY.enable()
 
 
-def _tel_delta(
-    before: MetricsSnapshot | None,
-) -> MetricsSnapshot | None:
-    """This worker's registry delta since ``before`` (``None`` when
-    telemetry is off — nothing crosses the process boundary)."""
+def _traced_call(fn, unit):
+    """Run one unit in a worker, with this worker's telemetry delta
+    (``None`` when telemetry is off — nothing crosses the boundary)."""
+    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
+    result = fn(unit)
     if before is None:
-        return None
-    return TELEMETRY.snapshot().since(before)
+        return result, None
+    return result, TELEMETRY.snapshot().since(before)
 
 
-def _tel_before() -> MetricsSnapshot | None:
-    return TELEMETRY.snapshot() if TELEMETRY.enabled else None
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() > deadline
 
 
-def _task_kernel(task: KernelTask):
-    return get_benchmark(task.benchmark, task.scale).kernel(task.kernel)
+def _unit_error(label: str, exc: BaseException) -> ReproError:
+    return ReproError(f"{label}: {type(exc).__name__}: {exc}")
 
 
-def _run_warm_task(spec: tuple[KernelTask, str]):
-    """Generate (or load) one functional trace into the shared store."""
-    task, mode = spec
-    start = time.perf_counter()
-    before = GLOBAL_CACHE.stats.snapshot()
-    tel_before = _tel_before()
-    kernel = _task_kernel(task)
-    if mode == "original":
-        GLOBAL_CACHE.original(kernel)
-    else:
-        options = _compiler_options_for(kernel, task.config)
-        if options is not None:
+def fan_out(
+    fn: Callable[[Unit], Result],
+    units: Iterable[Unit],
+    jobs: int,
+    deadline: float | None = None,
+    name: Callable[[Unit], str] = str,
+) -> list[Result]:
+    """Run ``fn`` over ``units``; results come back in unit order.
+
+    ``jobs == 1`` runs in-process.  Otherwise ``fn`` (module-level, so
+    it pickles by reference) runs in a pool of ``jobs`` workers that
+    share the parent's trace store and telemetry switch, and each
+    unit's telemetry delta is merged into the parent's registry in unit
+    order.  At most ``jobs`` units are in flight, so a unit handed to
+    the pool starts at once.
+
+    ``deadline`` is a ``time.perf_counter()`` value: no unit starts
+    after it has passed, and every unit already started is awaited and
+    returned, so the result is always a prefix of ``units``.
+
+    A unit that raises fails the fan-out with a :class:`ReproError`
+    that names it (``name(unit)``) and is chained from the original; a
+    dead worker process names every unit that was in flight.
+    """
+    units = list(units)
+    if jobs == 1:
+        results = []
+        for unit in units:
+            if _past(deadline):
+                break
             try:
-                GLOBAL_CACHE.specialized(kernel, options)
-            except CompilerError:
-                pass
-    elapsed = time.perf_counter() - start
-    return (task, elapsed, GLOBAL_CACHE.stats.since(before),
-            _tel_delta(tel_before))
+                results.append(fn(unit))
+            except Exception as exc:
+                raise _unit_error(name(unit), exc) from exc
+        return results
+
+    store = GLOBAL_CACHE.store
+    index: dict[Future, int] = {}
+    finished: dict[int, tuple] = {}
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_worker_init,
+        initargs=(
+            str(store.cache_dir) if store is not None else None,
+            store is not None,
+            TELEMETRY.enabled,
+        ),
+    ) as pool:
+        pending: set[Future] = set()
+        while True:
+            while (len(pending) < jobs and len(index) < len(units)
+                   and not _past(deadline)):
+                future = pool.submit(_traced_call, fn, units[len(index)])
+                index[future] = len(index)
+                pending.add(future)
+            if not pending:
+                break
+            in_flight = sorted(pending, key=index.__getitem__)
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=index.__getitem__):
+                exc = future.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    lost = [
+                        name(units[index[f]]) for f in in_flight
+                        if not f.done() or f.exception() is not None
+                    ]
+                    raise ReproError(
+                        "a worker process died with units in flight: "
+                        + "; ".join(lost)
+                    ) from exc
+                if exc is not None:
+                    raise _unit_error(
+                        name(units[index[future]]), exc
+                    ) from exc
+                finished[index[future]] = future.result()
+    results = []
+    for i in range(len(finished)):
+        result, tel = finished[i]
+        if tel is not None:
+            TELEMETRY.merge_snapshot(tel)
+        results.append(result)
+    return results
+
+
+# -- sweeps -----------------------------------------------------------------
 
 
 def _run_sim_group(tasks: list[KernelTask]):
     """Time every kernel×config of one entry group, in order.
 
-    The cells share trace-cache entries, so they share one worker's
-    result tier.  Returns kernel-stripped per-cell results plus the
-    group's telemetry delta.
+    The cells share trace-cache entries, so they share one process's
+    result tier.  Returns kernel-stripped per-cell results.
     """
-    tel_before = _tel_before()
     cells = []
     for task in tasks:
         start = time.perf_counter()
         before = GLOBAL_CACHE.stats.snapshot()
-        kernel = _task_kernel(task)
+        kernel = get_benchmark(task.benchmark, task.scale).kernel(
+            task.kernel
+        )
         result = run_kernel(
             kernel, task.config, GLOBAL_CACHE, predict=task.predict
         )
@@ -342,16 +407,13 @@ def _run_sim_group(tasks: list[KernelTask]):
         cells.append(
             (task, result, elapsed, GLOBAL_CACHE.stats.since(before))
         )
-    return cells, _tel_delta(tel_before)
+    return cells
 
 
-# -- orchestration ----------------------------------------------------------
-
-
-def _options_key_of(kernel, config: EvalConfig):
-    from repro.experiments.runner import _options_key
-
-    return _options_key(_compiler_options_for(kernel, config))
+def _group_name(tasks: list[KernelTask]) -> str:
+    return "; ".join(
+        f"{t.benchmark}/{t.kernel}[{t.config.name}]" for t in tasks
+    )
 
 
 def run_sweep(
@@ -377,36 +439,46 @@ def run_sweep(
         name: get_benchmark(name, scale) for name in benchmark_names
     }
     tasks: list[KernelTask] = []
+    groups: dict[str, list[KernelTask]] = {}
     for name, bench in benchmarks.items():
         wanted = None if kernel_names is None else kernel_names.get(name)
         for kernel in bench.kernels:
             if wanted is not None and kernel.name not in wanted:
                 continue
             for idx, config in enumerate(configs):
-                tasks.append(
-                    KernelTask(
-                        benchmark=name,
-                        scale=scale,
-                        kernel=kernel.name,
-                        config=config,
-                        config_index=idx,
-                        predict=predict,
-                    )
+                task = KernelTask(
+                    benchmark=name,
+                    scale=scale,
+                    kernel=kernel.name,
+                    config=config,
+                    config_index=idx,
+                    predict=predict,
                 )
+                tasks.append(task)
+                groups.setdefault(kernel.content_digest(), []).append(task)
 
     start = time.perf_counter()
     report = SweepReport(jobs=jobs, num_tasks=len(tasks))
-    results: dict[tuple[str, str, int], KernelResult] = {}
     # The result tier is sweep-scoped: forked workers must not inherit
     # an earlier sweep's replays, or they would simulate nothing.
     GLOBAL_CACHE.clear_results()
     try:
-        if jobs == 1:
-            _run_serial(tasks, benchmarks, results, report)
-        else:
-            _run_parallel(tasks, benchmarks, results, report, jobs)
+        outputs = fan_out(
+            _run_sim_group, groups.values(), jobs, name=_group_name
+        )
     finally:
         GLOBAL_CACHE.clear_results()
+    cells = {
+        _cell_key(task): (result, elapsed, stats)
+        for group in outputs
+        for task, result, elapsed, stats in group
+    }
+    # Fold in task order: float stall sums are then jobs-invariant.
+    results: dict[tuple[str, str, int], KernelResult] = {}
+    for task in tasks:
+        result, elapsed, stats = cells[_cell_key(task)]
+        result.kernel = benchmarks[task.benchmark].kernel(task.kernel)
+        _record_cell(task, result, elapsed, stats, report, results)
     report.wall_seconds = time.perf_counter() - start
     _harvest_pool(report)
     _record_report(report)
@@ -416,28 +488,22 @@ def run_sweep(
 def _harvest_pool(report: SweepReport) -> None:
     """Fold one sweep's pool statistics into the registry.
 
-    Simulate-task counts are deterministic in the task list, hence
-    ``invariant=True``; warm tasks only exist for cache-enabled
-    parallel runs, and every timing metric is wall clock, so the rest
+    Task counts are deterministic in the task list, hence
+    ``invariant=True``; every timing metric is wall clock, so the rest
     is ``invariant=False``.
     """
     if not TELEMETRY.enabled:
         return
-    phases: dict[str, tuple[int, float]] = {}
-    for timing in report.timings:
-        count, seconds = phases.get(timing.phase, (0, 0.0))
-        phases[timing.phase] = (count + 1, seconds + timing.seconds)
-    for phase, (count, seconds) in sorted(phases.items()):
+    if report.timings:
         TELEMETRY.counter(
-            "repro_pool_tasks_total", {"phase": phase},
-            help="Sweep tasks completed by phase",
-            invariant=phase == "simulate",
-        ).inc(count)
+            "repro_pool_tasks_total", {"phase": "simulate"},
+            help="Sweep tasks completed by phase", invariant=True,
+        ).inc(len(report.timings))
         TELEMETRY.counter(
-            "repro_pool_worker_seconds_total", {"phase": phase},
+            "repro_pool_worker_seconds_total", {"phase": "simulate"},
             help="Wall-clock seconds spent inside sweep tasks",
             invariant=False,
-        ).inc(seconds)
+        ).inc(report.worker_seconds)
     task_seconds = TELEMETRY.histogram(
         "repro_pool_task_seconds", bounds=SECONDS_BUCKETS,
         help="Per-task wall-clock duration", invariant=False,
@@ -445,7 +511,7 @@ def _harvest_pool(report: SweepReport) -> None:
     for timing in report.timings:
         task_seconds.observe(timing.seconds)
     # Queue wait: pool capacity the sweep paid for but did not use
-    # (workers idle between tasks, warm-phase barriers, stragglers).
+    # (workers idle between units, stragglers).
     idle = max(
         0.0,
         report.wall_seconds * max(1, report.jobs)
@@ -476,7 +542,6 @@ def _record_cell(task, result, elapsed, stats, report, results) -> None:
             benchmark=task.benchmark,
             kernel=task.kernel,
             config_name=task.config.name,
-            phase="simulate",
             seconds=elapsed,
         )
     )
@@ -485,82 +550,3 @@ def _record_cell(task, result, elapsed, stats, report, results) -> None:
 
 def _cell_key(task: KernelTask) -> tuple[str, str, int]:
     return (task.benchmark, task.kernel, task.config_index)
-
-
-def _run_serial(tasks, benchmarks, results, report) -> None:
-    for task in tasks:
-        kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        before = GLOBAL_CACHE.stats.snapshot()
-        start = time.perf_counter()
-        result = run_kernel(
-            kernel, task.config, GLOBAL_CACHE, predict=task.predict
-        )
-        elapsed = time.perf_counter() - start
-        _record_cell(task, result, elapsed,
-                     GLOBAL_CACHE.stats.since(before), report, results)
-
-
-def _run_parallel(tasks, benchmarks, results, report, jobs) -> None:
-    store = GLOBAL_CACHE.store
-    cache_dir = str(store.cache_dir) if store is not None else None
-    enabled = store is not None
-    groups: dict[str, list[KernelTask]] = {}
-    for task in tasks:
-        kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        groups.setdefault(kernel.content_digest(), []).append(task)
-    cells: dict[tuple[str, str, int], tuple] = {}
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_worker_init,
-        initargs=(cache_dir, enabled, TELEMETRY.enabled),
-    ) as pool:
-        if enabled:
-            _warm_phase(pool, tasks, benchmarks, report)
-        for group, tel in pool.map(
-            _run_sim_group, groups.values(), chunksize=1
-        ):
-            if tel is not None:
-                TELEMETRY.merge_snapshot(tel)
-            for task, result, elapsed, stats in group:
-                cells[_cell_key(task)] = (result, elapsed, stats)
-    # Fold in task order: float stall sums then match a serial sweep's.
-    for task in tasks:
-        result, elapsed, stats = cells[_cell_key(task)]
-        result.kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        _record_cell(task, result, elapsed, stats, report, results)
-
-
-def _warm_phase(pool, tasks, benchmarks, report) -> None:
-    """Generate each unique (kernel, options) trace once across the pool.
-
-    Two waves: plain-kernel traces (which every ``run_kernel`` call
-    needs) first, then warp-specialized ones.  Each wave is deduplicated
-    on (kernel content digest, options key), so no two workers ever
-    generate the same trace concurrently.
-    """
-    originals: dict[str, tuple[KernelTask, str]] = {}
-    specialized: dict[tuple, tuple[KernelTask, str]] = {}
-    for task in tasks:
-        kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        digest = kernel.content_digest()
-        originals.setdefault(digest, (task, "original"))
-        okey = _options_key_of(kernel, task.config)
-        if okey is not None:
-            specialized.setdefault((digest, okey), (task, "specialized"))
-    for wave in (list(originals.values()), list(specialized.values())):
-        for task, elapsed, stats, tel in pool.map(
-            _run_warm_task, wave, chunksize=1
-        ):
-            report.stats.merge(stats)
-            if tel is not None:
-                TELEMETRY.merge_snapshot(tel)
-            report.worker_seconds += elapsed
-            report.timings.append(
-                TaskTiming(
-                    benchmark=task.benchmark,
-                    kernel=task.kernel,
-                    config_name=task.config.name,
-                    phase="warm",
-                    seconds=elapsed,
-                )
-            )

@@ -1,35 +1,28 @@
 """The ``repro fuzz`` fan-out.
 
-Seeds are independent oracle tasks, fanned out over the same process
-pool discipline as the experiment sweeps (:mod:`repro.experiments.
-parallel`): job count comes from ``--jobs``, else ``REPRO_JOBS``, else
-1; workers share the content-addressed trace store, where passing
-oracle verdicts are cached so re-fuzzing identical seeds costs one
-disk read per seed; and results are assembled **by seed**, so
-``--jobs N`` reports exactly what ``--jobs 1`` reports.
+Seeds are independent oracle tasks, one unit each of the fan-out the
+experiment sweeps use (:func:`repro.experiments.parallel.fan_out`): job
+count comes from ``--jobs``, else ``REPRO_JOBS``, else 1; workers share
+the content-addressed trace store, where passing oracle verdicts are
+cached so re-fuzzing identical seeds costs one disk read per seed; and
+results come back **in seed order**, so ``--jobs N`` reports exactly
+what ``--jobs 1`` reports.
 
 Failing seeds are shrunk in the parent (serial — shrinking is a
 search, not a map) and optionally persisted to the corpus.  An
-optional wall-clock budget makes the nightly CI job time-boxed: seeds
-are processed in order and the run stops cleanly once the budget is
-spent, reporting how many seeds it actually covered.
+optional wall-clock budget makes the nightly CI job time-boxed: no
+seed starts once the budget is spent, every started seed finishes and
+is counted, and the counted seeds are always the first ``seeds_run``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.parallel import (
-    _tel_before,
-    _tel_delta,
-    _worker_init,
-    resolve_jobs,
-)
-from repro.experiments.runner import GLOBAL_CACHE
+from repro.experiments.parallel import fan_out, resolve_jobs
 from repro.telemetry.registry import TELEMETRY
 from repro.fuzz.oracle import (
     FuzzFailure,
@@ -132,15 +125,17 @@ class FuzzReport:
         return lines
 
 
-def _run_fuzz_task(task: FuzzTask):
-    tel_before = _tel_before()
-    report = run_oracle(
+def _run_fuzz_task(task: FuzzTask) -> OracleReport:
+    return run_oracle(
         generate_spec(task.seed),
         metamorphic=task.metamorphic,
         inject=task.inject,
         use_verdict_cache=task.use_verdict_cache,
     )
-    return task.seed, report, _tel_delta(tel_before)
+
+
+def _seed_name(task: FuzzTask) -> str:
+    return f"seed {task.seed}"
 
 
 def run_fuzz(
@@ -159,9 +154,11 @@ def run_fuzz(
 
     ``inject`` corrupts every specialized program with the named
     mutation — the expected outcome is then *failures on every seed
-    that specializes*, which is how CI proves the oracle detects real
-    stage-split bugs.  ``time_budget`` (seconds) stops dispatching new
-    seeds once exceeded; already-running seeds finish and are counted.
+    whose specialized programs have a site for it* (``drop-push``
+    needs a register-queue push, which SMEM-ring-only seeds lack),
+    which is how CI proves the oracle detects real stage-split bugs.
+    ``time_budget`` (seconds) stops starting new seeds once exceeded;
+    already-running seeds finish and are counted.
     """
     jobs = resolve_jobs(jobs)
     tasks = [
@@ -177,52 +174,14 @@ def run_fuzz(
         seeds_requested=seeds, jobs=jobs,
     )
     start = time.perf_counter()
-    results: dict[int, OracleReport] = {}
-
-    def out_of_time() -> bool:
-        return (
-            time_budget is not None
-            and time.perf_counter() - start > time_budget
-        )
-
-    if jobs == 1:
-        for task in tasks:
-            if out_of_time():
-                report.budget_exhausted = True
-                break
-            seed, oracle, _ = _run_fuzz_task(task)
-            results[seed] = oracle
-    else:
-        store = GLOBAL_CACHE.store
-        cache_dir = str(store.cache_dir) if store is not None else None
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(cache_dir, store is not None, TELEMETRY.enabled),
-        ) as pool:
-            pending = {pool.submit(_run_fuzz_task, t) for t in tasks}
-            try:
-                while pending:
-                    done, pending = wait(
-                        pending, timeout=0.5,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        seed, oracle, tel = future.result()
-                        results[seed] = oracle
-                        if tel is not None:
-                            TELEMETRY.merge_snapshot(tel)
-                    if out_of_time() and pending:
-                        report.budget_exhausted = True
-                        break
-            finally:
-                for future in pending:
-                    future.cancel()
-
-    # Assemble by seed so the report is independent of completion order.
-    for seed in sorted(results):
-        oracle = results[seed]
-        report.seeds_run += 1
+    oracles = fan_out(
+        _run_fuzz_task, tasks, jobs,
+        deadline=None if time_budget is None else start + time_budget,
+        name=_seed_name,
+    )
+    report.seeds_run = len(oracles)
+    report.budget_exhausted = report.seeds_run < seeds
+    for oracle in oracles:
         if oracle.from_cache:
             report.verdict_cache_hits += 1
         skeleton = oracle.spec.skeleton

@@ -416,6 +416,7 @@ def _env_enabled() -> bool:
     )
 
 
-#: The process-global registry.  Workers inherit the enabled flag via
-#: the pool initializer (repro.experiments.parallel._worker_init).
+#: The process-global registry.  Pool workers inherit the enabled flag
+#: from the fan-out's initializer, and each unit's delta is merged back
+#: into the parent's registry (repro.experiments.parallel.fan_out).
 TELEMETRY = MetricsRegistry(enabled=_env_enabled())

@@ -8,8 +8,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ReproError
 from repro.experiments.runner import GLOBAL_CACHE
 from repro.fexec.trace_store import TraceStore
+from repro.fuzz.oracle import run_oracle
 from repro.fuzz.runner import FuzzReport, run_fuzz
 
 SEEDS = 8
@@ -87,6 +89,50 @@ def test_time_budget_stops_early(no_cache):
                       time_budget=0.0)
     assert report.budget_exhausted
     assert report.seeds_run < 50
+
+
+def test_time_budget_counts_every_started_seed(no_cache, monkeypatch,
+                                              tmp_path):
+    """When the budget runs out with seeds in flight, those seeds still
+    finish and count: the counted seeds are exactly the started ones, a
+    prefix, and their injected failures are all reported — the same
+    failures an unbudgeted serial run over that prefix reports."""
+    from repro.fuzz import runner
+
+    def marking_oracle(spec, **kwargs):
+        (tmp_path / str(spec.seed)).touch()
+        return run_oracle(spec, **kwargs)
+
+    monkeypatch.setattr(runner, "run_oracle", marking_oracle)
+    report = run_fuzz(seeds=40, jobs=2, shrink=False, inject="drop-push",
+                      metamorphic=False, time_budget=0.3)
+    started = sorted(int(p.name) for p in tmp_path.iterdir())
+    assert report.budget_exhausted
+    assert 0 < report.seeds_run < 40
+    assert started == list(range(report.seeds_run))
+    reference = run_fuzz(seeds=report.seeds_run, jobs=1, shrink=False,
+                         inject="drop-push", metamorphic=False)
+    assert report.failures
+    assert [f.to_json() for f in report.failures] == [
+        f.to_json() for f in reference.failures
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_seed_is_named(no_cache, monkeypatch, jobs):
+    from repro.fuzz import runner
+
+    real = runner.run_oracle
+
+    def run_oracle(spec, **kwargs):
+        if spec.seed == 2:
+            raise RuntimeError("injected")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(runner, "run_oracle", run_oracle)
+    with pytest.raises(ReproError, match="seed 2: RuntimeError") as info:
+        run_fuzz(seeds=4, jobs=jobs, shrink=False, metamorphic=False)
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_failures_can_persist_to_corpus(no_cache, tmp_path):

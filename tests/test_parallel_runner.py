@@ -5,8 +5,13 @@ the exact figures of a serial run.  These tests run a small benchmark
 subset at reduced scale against an isolated temporary cache directory.
 """
 
+import os
+import time
+from pathlib import Path
+
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments import runner
 from repro.experiments.configs import (
     baseline_config,
@@ -15,6 +20,7 @@ from repro.experiments.configs import (
     wasp_gpu_config,
 )
 from repro.experiments.parallel import (
+    fan_out,
     last_report,
     resolve_jobs,
     run_sweep,
@@ -113,25 +119,33 @@ def test_trace_cache_default_constructor_is_memory_only():
     assert cache.store is None
 
 
-def test_parallel_cache_stats_aggregate_from_workers(isolated_cache):
-    """Worker-side hit/miss counters must reach the parent's report.
+def test_parallel_cache_stats_aggregate_from_workers(isolated_cache,
+                                                     tmp_path):
+    """Worker-side hit/miss counters reach the parent's report, and
+    equal a serial sweep's exactly.
 
-    With a cold cache and ``jobs=2``, the warm phase generates each
-    unique (kernel, options) trace exactly once across the pool; the
-    deltas are measured inside the workers and merged in the parent, so
-    the report must show exactly that many generations — not zero
-    (counters lost in the pool) and not more (duplicated work).
+    Every sweep groups its cells by kernel content digest and runs each
+    group in one process; trace-cache keys start with that digest, so
+    no two workers ever look up the same trace.  On two fresh stores,
+    ``jobs=1`` and ``jobs=2`` therefore count the same memory hits,
+    disk hits and generations — each unique (kernel, options) trace is
+    generated exactly once: not zero times (counters lost in the pool)
+    and not more (duplicated work).
     """
+    from repro.experiments.runner import _compiler_options_for, _options_key
+    from repro.workloads import get_benchmark
+
     configs = _configs()
+    serial = run_sweep(FAST, SCALE, configs, jobs=1).report.stats
+    isolated_cache._entries = {}
+    isolated_cache.stats = CacheStats()
+    isolated_cache.store = TraceStore(tmp_path / "cache-jobs2")
     sweep = run_sweep(FAST, SCALE, configs, jobs=2)
     stats = sweep.report.stats
+    assert stats.to_json() == serial.to_json()
 
     unique = set()
     for name in FAST:
-        from repro.experiments.runner import _options_key
-        from repro.experiments.parallel import _compiler_options_for
-        from repro.workloads import get_benchmark
-
         for kernel in get_benchmark(name, SCALE).kernels:
             digest = kernel.content_digest()
             unique.add((digest, None))
@@ -140,7 +154,7 @@ def test_parallel_cache_stats_aggregate_from_workers(isolated_cache):
                 if options is not None:
                     unique.add((digest, _options_key(options)))
     assert stats.generations == len(unique)
-    assert stats.lookups > stats.generations  # sim phase hits the cache
+    assert stats.lookups > stats.generations  # later cells hit the cache
 
     # A second parallel sweep over the same store is generation-free.
     again = run_sweep(FAST, SCALE, configs, jobs=2)
@@ -190,3 +204,63 @@ def test_sweep_profile_json_includes_cache_stats(isolated_cache):
     json.dumps(doc)  # plain JSON types only
     text = sweep_stalls_text(sweep.report)
     assert text.startswith("sweep stalls:")
+
+
+# -- fan_out: one contract for sweeps and fuzz seeds ------------------------
+
+
+def _sleep_unit(unit):
+    """Mark the unit as started, then sleep (module-level: picklable)."""
+    marks, index, seconds = unit
+    Path(marks, str(index)).touch()
+    time.sleep(seconds)
+    return index
+
+
+def _die_on_one(index):
+    if index == 1:
+        os._exit(3)
+    time.sleep(0.5)
+    return index
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fan_out_deadline_returns_every_started_unit(tmp_path, jobs):
+    """No unit starts after the deadline; every started unit (also one
+    still running in a worker when it passes) is awaited and returned,
+    so the result is a prefix of the units."""
+    units = [(str(tmp_path), i, 0.3) for i in range(10)]
+    done = fan_out(_sleep_unit, units, jobs,
+                   deadline=time.perf_counter() + 0.45)
+    started = sorted(int(p.name) for p in tmp_path.iterdir())
+    assert 0 < len(done) < len(units)
+    assert done == list(range(len(done)))
+    assert started == done
+
+
+def test_fan_out_names_units_in_flight_when_a_worker_dies():
+    with pytest.raises(ReproError, match="worker process died") as info:
+        fan_out(_die_on_one, range(4), jobs=2,
+                name=lambda i: f"unit {i}")
+    assert "unit 1" in str(info.value)
+    assert "unit 2" not in str(info.value)  # never handed to a worker
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_failure_names_the_cell(isolated_cache, monkeypatch, jobs):
+    from repro.experiments import parallel
+    from repro.workloads import get_benchmark
+
+    bad = get_benchmark("pointnet", SCALE).kernels[0].name
+    real = parallel.run_kernel
+
+    def run_kernel(kernel, config, *args, **kwargs):
+        if kernel.name == bad and config.name == "WASP_GPU":
+            raise RuntimeError("injected")
+        return real(kernel, config, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_kernel", run_kernel)
+    with pytest.raises(ReproError) as info:
+        run_sweep(["pointnet"], SCALE, _configs(), jobs=jobs)
+    assert f"pointnet/{bad}[WASP_GPU]" in str(info.value)
+    assert isinstance(info.value.__cause__, RuntimeError)
