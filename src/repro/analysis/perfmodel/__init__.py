@@ -43,7 +43,6 @@ from repro.analysis.perfmodel.bounds import (
     StageBounds,
     StageWork,
     compute_bounds,
-    compute_stage_work,
     queue_digraph,
 )
 from repro.analysis.perfmodel.calibration import (
@@ -93,7 +92,6 @@ __all__ = [
     "calibrate_kernel",
     "calibrate_registry",
     "compute_bounds",
-    "compute_stage_work",
     "enumerate_candidates",
     "predict_kernel",
     "predict_traces",

@@ -19,7 +19,6 @@ from repro.analysis.perfmodel.bounds import (
     BoundReport,
     MemoryLevelMix,
     compute_bounds,
-    compute_stage_work,
     queue_digraph,
 )
 from repro.analysis.perfmodel.dataflow import DataflowWalk
@@ -133,10 +132,9 @@ def predict_traces(
         qid: agg.mean_residency for qid, agg in traffic.items()
     }
     channels = {qid: agg.channels for qid, agg in traffic.items()}
-    work = compute_stage_work(traces, walk.smem_queue)
     with span("perfmodel", "bounds"):
         bounds = compute_bounds(
-            work,
+            walk.stage_work,
             gpu.service_rates(),
             walk.spec,
             level_mix=mix,
@@ -146,7 +144,7 @@ def predict_traces(
 
     stage = dominant_stage(walk.stalls)
     cause = dominant_cause(walk.stalls, stage)
-    total_issues = sum(walk.issues_by_stage.values())
+    total_issues = sum(w.issue_slots for w in walk.stage_work.values())
     throughput = total_issues / cycles if cycles > 0 else 0.0
 
     explanation = _explain(walk, bounds, stage, cause, cycles)

@@ -26,10 +26,11 @@ class TimedArriveWait:
     wait_counts: dict[int, int] = field(default_factory=dict)
     tb_index: int = 0
     profiler: Any = None  # PipelineProfiler when arrivals are traced
-    # Event-core wake registration (repro.sim.sm_event): warps whose
-    # wait has no pass time yet (needs more arrivals) register here;
-    # the installed ``wake_hook`` drains the list on every arrival.
-    # The reference core leaves both untouched.
+    # Wake registration (the event core, repro.sim.sm_event, and the
+    # perf model's dataflow walk): whatever waits with no pass time yet
+    # (needs more arrivals) registers here; the installed ``wake_hook``
+    # is called with the list and the arrival time on every arrival,
+    # and drains the list.  The reference core leaves both untouched.
     waiters: list = field(default_factory=list)
     wake_hook: Any = None
 
@@ -39,7 +40,7 @@ class TimedArriveWait:
             self.profiler.record_barrier(self.tb_index, self.barrier_id,
                                          time)
         if self.waiters:
-            self.wake_hook(self.waiters)
+            self.wake_hook(self.waiters, time)
 
     def wait_pass_time(self, warp_key: int) -> float:
         """When the next wait by ``warp_key`` passes (may be inf)."""
@@ -66,7 +67,7 @@ class TimedSyncBarrier:
     arrived: set = field(default_factory=set)
     tb_index: int = 0
     profiler: Any = None  # PipelineProfiler when arrivals are traced
-    # Event-core wake registration (see TimedArriveWait above).
+    # Wake registration (see TimedArriveWait above).
     waiters: list = field(default_factory=list)
     wake_hook: Any = None
 
@@ -80,7 +81,7 @@ class TimedSyncBarrier:
             self.profiler.record_barrier(self.tb_index, self.barrier_id,
                                          time)
         if self.waiters:
-            self.wake_hook(self.waiters)
+            self.wake_hook(self.waiters, time)
 
     def pass_time(self, warp_key: int) -> float:
         """When this warp's current sync releases (inf if not yet)."""
@@ -95,7 +96,11 @@ class TimedSyncBarrier:
 
 
 class BarrierFile:
-    """All barriers of one resident thread block."""
+    """All barriers of one resident thread block.
+
+    ``wake_hook``, when given, is installed on every barrier the file
+    creates (see ``TimedArriveWait.waiters``).
+    """
 
     def __init__(
         self,
@@ -104,12 +109,14 @@ class BarrierFile:
         initial: dict[str, int],
         profiler: Any = None,
         tb_index: int = 0,
+        wake_hook: Any = None,
     ) -> None:
         self._num_warps = num_warps
         self._expected = expected
         self._initial = initial
         self._profiler = profiler
         self._tb_index = tb_index
+        self._wake_hook = wake_hook
         self._aw: dict[str, TimedArriveWait] = {}
         self._sync: dict[str, TimedSyncBarrier] = {}
 
@@ -122,6 +129,7 @@ class BarrierFile:
                 initial_credit=self._initial.get(barrier_id, 0),
                 tb_index=self._tb_index,
                 profiler=self._profiler,
+                wake_hook=self._wake_hook,
             )
             self._aw[barrier_id] = barrier
         return barrier
@@ -134,6 +142,7 @@ class BarrierFile:
                 num_warps=self._num_warps,
                 tb_index=self._tb_index,
                 profiler=self._profiler,
+                wake_hook=self._wake_hook,
             )
             self._sync[barrier_id] = barrier
         return barrier

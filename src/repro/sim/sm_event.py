@@ -93,8 +93,8 @@ from repro.sim.barriers import INFINITY
 from repro.sim.events import WakeupHeap
 from repro.sim.results import SMStats
 from repro.sim.sm import (
-    _BAR_SYNC, _BAR_WAIT, _GTO_KEY, _ISSUE_PORT, _SCOREBOARD, SMSimulator,
-    _ResidentTB, _WarpRun,
+    _GTO_KEY, _ISSUE_PORT, _SCOREBOARD, OP_BAR_SYNC, OP_BAR_WAIT,
+    SMSimulator, _ResidentTB, _WarpRun,
 )
 from repro.telemetry.registry import (
     CYCLES_BUCKETS, DEPTH_BUCKETS, TELEMETRY,
@@ -188,9 +188,13 @@ class EventSMSimulator(SMSimulator):
             warp.wake_at = self._now
         insort(self._awake[warp.pb], warp, key=_POS)
 
-    def _wake_list(self, waiters: list[_WarpRun]) -> None:
+    def _wake_list(
+        self, waiters: list[_WarpRun], _time: float | None = None
+    ) -> None:
         """Hook installed on queue channels and barriers: an event that
-        can unblock every registered waiter just fired."""
+        can unblock every registered waiter just fired.  Barriers pass
+        the arrival time too; woken warps are polled at cycles, so it
+        goes unused."""
         drained = waiters[:]
         waiters.clear()
         self._tel_wakes += len(drained)
@@ -240,14 +244,14 @@ class EventSMSimulator(SMSimulator):
                 chan.full_waiters.append(warp)
                 self._tel_reg_queue_full += 1
                 return
-        if kind == _BAR_WAIT:
+        if kind == OP_BAR_WAIT:
             barrier = warp.tb.barriers.arrive_wait(instr.barrier_id)
             if barrier.wait_pass_time(warp.key) == INFINITY:
                 barrier.wake_hook = hook
                 barrier.waiters.append(warp)
                 self._tel_reg_barrier += 1
                 return
-        if kind == _BAR_SYNC:
+        if kind == OP_BAR_SYNC:
             barrier = warp.tb.barriers.sync(instr.barrier_id)
             if barrier.pass_time(warp.key) == INFINITY:
                 barrier.wake_hook = hook
