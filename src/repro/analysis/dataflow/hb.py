@@ -18,7 +18,7 @@ sources:
   initial credit C (C a multiple of E), every arrive site
   happens-before every wait site at δ = C/E — the n-th wait passes only
   once ``initial_credit + arrivals ≥ n·expected``
-  (:class:`repro.fexec.barriers.ArriveWaitBarrier`), which needs at
+  (:class:`repro.fexec.barriers.TimedArriveWait`), which needs at
   least one gen-(n−1−C/E) arrival;
 * **BAR.SYNC**: the k-th sync of every participating stage is one
   rendezvous — bidirectional δ=0 edges;

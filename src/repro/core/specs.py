@@ -151,6 +151,17 @@ class ThreadBlockSpec:
         return total
 
 
+def slice_of(spec: ThreadBlockSpec | None, warp_id: int) -> int:
+    """A warp's slice: its index among its stage's warps (the warp id
+    itself without a spec).  A queue has one channel per slice: warp
+    *k* of stage S talks to warp *k* of stage S+1, the paper's
+    ``TB0_W<k>_QS0S1`` naming."""
+    if spec is None:
+        return warp_id
+    stage = spec.stage_of_warp(warp_id)
+    return spec.warps_in_stage(stage).index(warp_id)
+
+
 def contiguous_stage_assignment(
     num_stages: int, warps_per_stage_count: list[int]
 ) -> list[list[int]]:

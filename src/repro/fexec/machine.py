@@ -21,17 +21,24 @@ the timing simulator replays (:mod:`repro.sim`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
+from repro.core.specs import slice_of
 from repro.errors import DeadlockError, ExecutionError
-from repro.fexec.barriers import ArriveWaitBarrier, SyncBarrier
+from repro.fexec.barriers import INFINITY, BarrierFile
 from repro.fexec.launch import LaunchConfig
 from repro.fexec.memory_image import MemoryImage, sectors_of
 from repro.fexec.queues import FunctionalQueue
 from repro.fexec.sanitizer import SanitizerRace, SmemSanitizer
-from repro.fexec.trace import PRED_BASE, DynamicInstr, KernelTrace, WarpTrace
+from repro.fexec.trace import (
+    PRED_BASE,
+    DynamicInstr,
+    KernelTrace,
+    TmaJob,
+    WarpTrace,
+)
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import (
@@ -225,7 +232,7 @@ class _Op:
         sectors: tuple[int, ...] = (),
         is_store: bool = False,
         smem_words: int = 0,
-        tma_job: dict[str, Any] | None = None,
+        tma_job: TmaJob | None = None,
     ) -> DynamicInstr:
         r = self.record
         return DynamicInstr(
@@ -316,8 +323,14 @@ class FunctionalMachine:
         # with warp k of stage S+1 (the paper's TB0_W<k>_QS0S1 naming),
         # so the channel key is (queue_id, slice index).
         self._queues: dict[tuple[int, int], FunctionalQueue] = {}
-        self._aw_barriers: dict[str, ArriveWaitBarrier] = {}
-        self._sync_barriers: dict[str, SyncBarrier] = {}
+        # Every arrival lands at time 0: a wait passes exactly when its
+        # pass time is finite.
+        spec = program.tb_spec
+        self._barriers = BarrierFile(
+            launch.num_warps,
+            spec.barrier_expected if spec is not None else {},
+            spec.barrier_initial if spec is not None else {},
+        )
         self._warps = [self._make_warp(w) for w in range(launch.num_warps)]
         self._dynamic_count = 0
         self._san: SmemSanitizer | None = None
@@ -333,12 +346,10 @@ class FunctionalMachine:
         spec = self._spec()
         if spec is not None:
             stage = spec.stage_of_warp(warp_id)
-            stage_warps = spec.warps_in_stage(stage)
-            stage_warp_id = stage_warps.index(warp_id)
-            num_stage_warps = len(stage_warps)
+            num_stage_warps = len(spec.warps_in_stage(stage))
         else:
-            stage, stage_warp_id = 0, warp_id
-            num_stage_warps = self.launch.num_warps
+            stage, num_stage_warps = 0, self.launch.num_warps
+        stage_warp_id = slice_of(spec, warp_id)
         values = {
             SpecialReg.WARP_ID: warp_id,
             SpecialReg.TB_ID: self.tb_id,
@@ -368,24 +379,10 @@ class FunctionalMachine:
             queue = self._queues[key] = FunctionalQueue(queue_id)
         return queue
 
-    def _aw_barrier(self, barrier_id: str) -> ArriveWaitBarrier:
-        if barrier_id not in self._aw_barriers:
-            expected, credit = 1, 0
-            spec = self._spec()
-            if spec is not None:
-                expected = spec.barrier_expected.get(barrier_id, 1)
-                credit = spec.barrier_initial.get(barrier_id, 0)
-            self._aw_barriers[barrier_id] = ArriveWaitBarrier(
-                barrier_id, expected=expected, initial_credit=credit
-            )
-        return self._aw_barriers[barrier_id]
-
-    def _sync_barrier(self, barrier_id: str) -> SyncBarrier:
-        if barrier_id not in self._sync_barriers:
-            self._sync_barriers[barrier_id] = SyncBarrier(
-                barrier_id, num_warps=self.launch.num_warps
-            )
-        return self._sync_barriers[barrier_id]
+    def _arrive(self, warp: _WarpState, barrier_id: str) -> None:
+        self._barriers.arrive_wait(barrier_id).arrive(0.0)
+        if self._san is not None:
+            self._san.on_arrive(warp.warp_id, barrier_id)
 
     # -- value evaluation ---------------------------------------------------
 
@@ -464,13 +461,14 @@ class FunctionalMachine:
                 return False
         opcode = op.opcode
         if opcode is Opcode.BAR_WAIT:
-            if not self._aw_barrier(op.barrier).can_pass(warp.warp_id):
+            barrier = self._barriers.arrive_wait(op.barrier)
+            if barrier.wait_pass_time(warp.warp_id) == INFINITY:
                 warp.blocked_reason = f"wait {op.barrier}"
                 return False
         elif opcode is Opcode.BAR_SYNC:
-            barrier = self._sync_barrier(op.barrier)
-            barrier.mark_arrived(warp.warp_id)
-            if not barrier.can_pass(warp.warp_id):
+            sync = self._barriers.sync(op.barrier)
+            sync.arrive(warp.warp_id, 0.0)
+            if sync.pass_time(warp.warp_id) == INFINITY:
                 warp.blocked_reason = f"sync {op.barrier}"
                 return False
         self._dynamic_count += 1
@@ -524,29 +522,23 @@ class FunctionalMachine:
         return op.record
 
     def _exec_arrive(self, warp: _WarpState, op: _Op) -> DynamicInstr:
-        self._aw_barrier(op.barrier).arrive()
-        if self._san is not None:
-            self._san.on_arrive(warp.warp_id, op.barrier)
+        self._arrive(warp, op.barrier)
         return op.record
 
     def _exec_wait(self, warp: _WarpState, op: _Op) -> DynamicInstr:
-        barrier = self._aw_barrier(op.barrier)
-        barrier.wait(warp.warp_id)
+        barrier = self._barriers.arrive_wait(op.barrier)
         if self._san is not None:
             self._san.on_wait_pass(
-                warp.warp_id,
-                op.barrier,
-                barrier.wait_counts[warp.warp_id],
-                barrier.expected,
-                barrier.initial_credit,
+                warp.warp_id, op.barrier, barrier.threshold(warp.warp_id)
             )
+        barrier.record_wait(warp.warp_id)
         return op.record
 
     def _exec_sync(self, warp: _WarpState, op: _Op) -> DynamicInstr:
         # Arrival was already marked by the blocking check in _step.
-        sync = self._sync_barrier(op.barrier)
+        sync = self._barriers.sync(op.barrier)
         phase = sync.warp_phase.get(warp.warp_id, 0)
-        sync.passed(warp.warp_id)
+        sync.record_pass(warp.warp_id)
         if self._san is not None:
             self._san.on_sync_pass(warp.warp_id, op.barrier, phase)
         return op.record
@@ -656,22 +648,19 @@ class FunctionalMachine:
         )
         barrier_id = op.instr.attrs.get("barrier")
         if barrier_id:
-            self._aw_barrier(barrier_id).arrive()
-            if self._san is not None:
-                self._san.on_arrive(warp.warp_id, barrier_id)
+            self._arrive(warp, barrier_id)
         width = self.launch.warp_width
-        vector_sectors = [
-            sectors_of(addrs[k : k + width]) for k in range(0, count, width)
-        ]
-        return op.record_with(tma_job={
-            "mode": "tile",
-            "num_vectors": len(vector_sectors),
-            "vector_sectors": vector_sectors,
-            "total_sectors": sum(len(v) for v in vector_sectors),
-            "smem_words": count,
-            "barrier": barrier_id,
-            "queue": None,
-        })
+        return op.record_with(tma_job=TmaJob(
+            mode="tile",
+            queue=None,
+            barrier=barrier_id,
+            vector_sectors=tuple(
+                sectors_of(addrs[k : k + width])
+                for k in range(0, count, width)
+            ),
+            data_vector_sectors=None,
+            smem_words=count,
+        ))
 
     def _exec_tma_stream(self, warp: _WarpState, op: _Op) -> DynamicInstr:
         if op.push is None:
@@ -692,15 +681,14 @@ class FunctionalMachine:
             addrs = base_vec + k * vec_stride
             self._push(warp, op.push, self.memory.load(addrs))
             vector_sectors.append(sectors_of(addrs))
-        return op.record_with(tma_job={
-            "mode": "stream",
-            "num_vectors": count,
-            "vector_sectors": vector_sectors,
-            "total_sectors": sum(len(v) for v in vector_sectors),
-            "smem_words": 0,
-            "barrier": None,
-            "queue": op.push,
-        })
+        return op.record_with(tma_job=TmaJob(
+            mode="stream",
+            queue=op.push,
+            barrier=None,
+            vector_sectors=tuple(vector_sectors),
+            data_vector_sectors=None,
+            smem_words=0,
+        ))
 
     def _exec_tma_gather(self, warp: _WarpState, op: _Op) -> DynamicInstr:
         idx_base = op.reads[0](self, warp).astype(np.int64)
@@ -737,18 +725,14 @@ class FunctionalMachine:
             # dependent data fetch (kept separate for two-phase timing).
             vector_sectors.append(sectors_of(idx_addrs))
             data_vector_sectors.append(sectors_of(data_addrs))
-        total = sum(len(v) for v in vector_sectors)
-        total += sum(len(v) for v in data_vector_sectors)
-        return op.record_with(tma_job={
-            "mode": "gather",
-            "num_vectors": count,
-            "vector_sectors": vector_sectors,
-            "data_vector_sectors": data_vector_sectors,
-            "total_sectors": total,
-            "smem_words": smem_words,
-            "barrier": attrs.get("barrier"),
-            "queue": queue_id,
-        })
+        return op.record_with(tma_job=TmaJob(
+            mode="gather",
+            queue=queue_id,
+            barrier=attrs.get("barrier"),
+            vector_sectors=tuple(vector_sectors),
+            data_vector_sectors=tuple(data_vector_sectors),
+            smem_words=smem_words,
+        ))
 
     # -- trace assembly -------------------------------------------------
 
@@ -765,9 +749,7 @@ class FunctionalMachine:
             warp_width=self.launch.warp_width,
             warps=[w.trace for w in self._warps if w.trace is not None],
             queue_lengths=self._aggregate_queue_lengths(),
-            barrier_arrivals={
-                bid: b.arrivals for bid, b in self._aw_barriers.items()
-            },
+            barrier_arrivals=self._barriers.arrival_counts(),
             tb_spec=self.program.tb_spec,
             program_registers=self._code.register_count,
             smem_words=self.program.smem_words,

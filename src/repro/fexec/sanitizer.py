@@ -13,11 +13,11 @@ Clock discipline (FastTrack-style, warp-granular):
 
 * each warp carries a vector clock; its own component increments at
   every *release* (BAR.ARRIVE, queue push/pop, BAR.SYNC pass);
-* ``BAR.ARRIVE`` publishes the arriving warp's clock; the *n*-th
-  passing ``BAR.WAIT`` joins the first ``n·expected − initial_credit``
-  published clocks — exactly the arrivals without which
-  :class:`~repro.fexec.barriers.ArriveWaitBarrier` could not have let
-  it pass;
+* ``BAR.ARRIVE`` publishes the arriving warp's clock; a passing
+  ``BAR.WAIT`` joins the first ``threshold`` published clocks, where
+  ``threshold`` is the barrier's own count for that wait
+  (:meth:`~repro.fexec.barriers.TimedArriveWait.threshold`) — exactly
+  the arrivals without which it could not have passed;
 * ``BAR.SYNC`` is a rendezvous: every passer of phase *p* joins the
   merge of all warps' clocks at that phase;
 * queue entries carry the pusher's clock to the popper (FIFO data
@@ -182,23 +182,16 @@ class SmemSanitizer:
         history.append(snap)
 
     def on_wait_pass(
-        self,
-        warp_id: int,
-        barrier_id: str,
-        wait_number: int,
-        expected: int,
-        initial_credit: int,
+        self, warp_id: int, barrier_id: str, threshold: int
     ) -> None:
         """Join the arrivals this wait provably consumed.
 
-        The n-th wait passes once ``initial + arrivals ≥ n·expected``,
-        so the first ``n·expected − initial`` arrivals are ordered
-        before it; later arrivals may have raced past.
+        The wait passed once ``threshold`` arrivals had landed, so
+        those are ordered before it; later arrivals may have raced past.
         """
-        needed = wait_number * expected - initial_credit
         history = self._arrival_cummax.get(barrier_id, [])
-        if needed > 0 and history:
-            index = min(needed, len(history)) - 1
+        if threshold > 0 and history:
+            index = min(threshold, len(history)) - 1
             self._join(warp_id, history[index])
 
     def on_sync_pass(

@@ -22,6 +22,51 @@ if TYPE_CHECKING:
 PRED_BASE = 1 << 16
 
 
+@dataclass(frozen=True, slots=True)
+class TmaJob:
+    """The offload job a TMA configuration record hands the engine.
+
+    One warp-wide vector request per entry of ``vector_sectors``, in
+    issue order.  A gather (paper Section III-E, Figure 8c) is
+    two-phase: ``vector_sectors`` are its index fetches and
+    ``data_vector_sectors`` the dependent data fetches; every other
+    mode has ``data_vector_sectors`` ``None``.
+
+    Attributes:
+        mode: ``'tile'``, ``'stream'`` or ``'gather'``.
+        queue: Queue id the engine pushes one entry per vector into,
+            or ``None`` (an SMEM destination).
+        barrier: Barrier the job arrives on at completion, or ``None``.
+        vector_sectors: Phase-1 global sectors, one tuple per vector.
+        data_vector_sectors: Gather phase-2 sectors, one per vector.
+        smem_words: Shared-memory words the job writes.
+
+    Derived once: ``num_vectors``, ``total_sectors`` (both phases) and
+    ``smem_words_per_vector`` (at least 1 when the job writes SMEM).
+    """
+
+    mode: str
+    queue: int | None
+    barrier: str | None
+    vector_sectors: tuple[tuple[int, ...], ...]
+    data_vector_sectors: tuple[tuple[int, ...], ...] | None
+    smem_words: int
+    num_vectors: int = field(init=False, compare=False)
+    total_sectors: int = field(init=False, compare=False)
+    smem_words_per_vector: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vectors = len(self.vector_sectors)
+        total = sum(map(len, self.vector_sectors))
+        total += sum(map(len, self.data_vector_sectors or ()))
+        per_vector = 0
+        if self.smem_words and vectors:
+            per_vector = max(1, self.smem_words // vectors)
+        object.__setattr__(self, "num_vectors", vectors)
+        object.__setattr__(self, "total_sectors", total)
+        object.__setattr__(self, "smem_words_per_vector", per_vector)
+
+
 @dataclass(slots=True)
 class DynamicInstr:
     """One executed instruction in a warp's dynamic stream.
@@ -39,7 +84,7 @@ class DynamicInstr:
         sectors: Distinct global-memory sector ids touched (loads/stores).
         is_store: True for global stores (no register writeback to wait on).
         smem_words: Shared-memory words moved (SMEM bandwidth model).
-        tma_job: Offload descriptor for TMA configuration instructions.
+        tma_job: Offload job of a TMA configuration instruction.
 
     Records are never mutated once emitted: the functional machine
     appends one shared record for every execution of an instruction
@@ -57,7 +102,7 @@ class DynamicInstr:
     sectors: tuple[int, ...] = ()
     is_store: bool = False
     smem_words: int = 0
-    tma_job: dict[str, Any] | None = None
+    tma_job: TmaJob | None = None
 
 
 @dataclass
@@ -81,7 +126,7 @@ class WarpTrace:
         total = sum(len(i.sectors) for i in self.instrs)
         for instr in self.instrs:
             if instr.tma_job is not None:
-                total += instr.tma_job.get("total_sectors", 0)
+                total += instr.tma_job.total_sectors
         return total
 
 
@@ -113,9 +158,6 @@ class KernelTrace:
             for category, count in warp.count_by_category().items():
                 counts[category] = counts.get(category, 0) + count
         return counts
-
-    def stage_ids(self) -> list[int]:
-        return sorted({w.pipe_stage_id for w in self.warps})
 
 
 # -- serialization ----------------------------------------------------------
@@ -254,8 +296,7 @@ def _records_at(
 def _encode_instr(
     instr: DynamicInstr, rows: dict[int, list[Any]]
 ) -> list[Any]:
-    # Positional encoding keeps large payloads compact; ``tma_job``
-    # sector lists hold tuples, which encode as arrays.  ``rows`` is
+    # Positional encoding keeps large payloads compact.  ``rows`` is
     # keyed by identity, which is sound only while ``instr`` is alive:
     # every key belongs to a trace of the one ``encode_traces`` call.
     row = rows.get(id(instr))
@@ -272,7 +313,7 @@ def _encode_instr(
             instr.sectors,
             int(instr.is_store),
             instr.smem_words,
-            instr.tma_job,
+            None if instr.tma_job is None else _encode_tma_job(instr.tma_job),
         ]
     return row
 
@@ -296,15 +337,35 @@ def _decode_instr(data: list[Any]) -> DynamicInstr:
     )
 
 
-_TMA_SECTOR_KEYS = ("vector_sectors", "data_vector_sectors")
+def _encode_tma_job(job: TmaJob) -> dict[str, Any]:
+    # The key order is the row format: store entries and trace digests
+    # depend on it.  Sector tuples encode as arrays.
+    row: dict[str, Any] = {
+        "mode": job.mode,
+        "num_vectors": job.num_vectors,
+        "vector_sectors": job.vector_sectors,
+    }
+    if job.data_vector_sectors is not None:
+        row["data_vector_sectors"] = job.data_vector_sectors
+    row["total_sectors"] = job.total_sectors
+    row["smem_words"] = job.smem_words
+    row["barrier"] = job.barrier
+    row["queue"] = job.queue
+    return row
 
 
-def _decode_tma_job(job: dict[str, Any]) -> dict[str, Any]:
-    decoded = dict(job)
-    for key in _TMA_SECTOR_KEYS:
-        if key in decoded:
-            decoded[key] = [tuple(v) for v in decoded[key]]
-    return decoded
+def _decode_tma_job(row: dict[str, Any]) -> TmaJob:
+    data = row.get("data_vector_sectors")
+    return TmaJob(
+        mode=row["mode"],
+        queue=row["queue"],
+        barrier=row["barrier"],
+        vector_sectors=tuple(map(tuple, row["vector_sectors"])),
+        data_vector_sectors=(
+            None if data is None else tuple(map(tuple, data))
+        ),
+        smem_words=row["smem_words"],
+    )
 
 
 def _encode_tb_spec(tb_spec: object | None) -> dict[str, Any] | None:

@@ -266,7 +266,7 @@ def _queue_balance(traces: list[KernelTrace]) -> dict[int, tuple[int, int]]:
                 if di.queue_push is not None:
                     entry = balance.setdefault(di.queue_push, [0, 0])
                     if di.tma_job is not None:
-                        entry[0] += int(di.tma_job.get("num_vectors", 0))
+                        entry[0] += di.tma_job.num_vectors
                     else:
                         entry[0] += 1
                 if di.queue_pop is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.barriers import INFINITY
+from repro.fexec.barriers import INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.sm import _WarpRun

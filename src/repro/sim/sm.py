@@ -48,13 +48,13 @@ from repro.core.mapping import map_warps, rotate_mapping
 from repro.core.scheduling import (
     SchedulingPolicy, compiled_priority, needs_queue_bits,
 )
-from repro.core.specs import ThreadBlockSpec
+from repro.core.specs import ThreadBlockSpec, slice_of
 from repro.errors import DeadlockError, SimulationError
+from repro.fexec.barriers import INFINITY, BarrierFile
 from repro.fexec.trace import DynamicInstr, KernelTrace
 from repro.isa.opcodes import FuncUnit, InstrCategory, Opcode
 from repro.profiling.profiler import PipelineProfiler
 from repro.profiling.stalls import TIMELINE_BUCKET, StallCause
-from repro.sim.barriers import INFINITY, BarrierFile
 from repro.sim.config import GPUConfig, QueueImpl
 from repro.sim.memory import MemorySystem
 from repro.sim.occupancy import Occupancy, trace_occupancy
@@ -137,15 +137,6 @@ class OpDecoder:
         )
         self._ops[id(record)] = op
         return op
-
-
-def slice_of(spec: ThreadBlockSpec | None, warp_id: int) -> int:
-    """A warp's slice: its index among its stage's warps (the warp id
-    itself without a spec).  A queue has one channel per slice."""
-    if spec is None:
-        return warp_id
-    stage = spec.stage_of_warp(warp_id)
-    return spec.warps_in_stage(stage).index(warp_id)
 
 
 # eq=False: thread blocks and warps are identity objects (the event
@@ -876,14 +867,12 @@ class SMSimulator:
     def _submit_tma(
         self, warp: _WarpRun, instr: DynamicInstr, now: float
     ) -> None:
-        job = instr.tma_job or {}
+        job = instr.tma_job
+        assert job is not None  # every TMA record carries its job
         channel = None
-        queue_id = job.get("queue")
-        if queue_id is not None:
-            channel = warp.tb.queues.channel(queue_id, warp.slice_id)
-        barrier_id = job.get("barrier")
+        if job.queue is not None:
+            channel = warp.tb.queues.channel(job.queue, warp.slice_id)
         on_complete = None
-        if barrier_id is not None:
-            barrier = warp.tb.barriers.arrive_wait(barrier_id)
-            on_complete = barrier.arrive
+        if job.barrier is not None:
+            on_complete = warp.tb.barriers.arrive_wait(job.barrier).arrive
         self.tma.submit(now, job, channel, on_complete)

@@ -88,8 +88,8 @@ from bisect import bisect_left, insort
 from operator import attrgetter
 
 from repro.errors import SimulationError
+from repro.fexec.barriers import INFINITY
 from repro.fexec.trace import KernelTrace
-from repro.sim.barriers import INFINITY
 from repro.sim.events import WakeupHeap
 from repro.sim.results import SMStats
 from repro.sim.sm import (

@@ -1,7 +1,8 @@
 """TMA / WASP-TMA offload engine timing model (Section III-E).
 
-A configuration instruction hands the engine a *job*: an ordered stream
-of warp-wide vector requests.  The engine issues vectors at a fixed rate
+A configuration instruction hands the engine a *job*
+(:class:`~repro.fexec.trace.TmaJob`): an ordered stream of warp-wide
+vector requests.  The engine issues vectors at a fixed rate
 without consuming processing-block issue slots.  RFQ-destined vectors
 acquire a queue entry before issuing (the paper: "WASP-TMA global-RFQ
 instructions acquire multiple entries, delaying issue until they are
@@ -18,23 +19,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from repro.sim.barriers import INFINITY
+from repro.fexec.barriers import INFINITY
+from repro.fexec.trace import TmaJob
 from repro.sim.config import GPUConfig
 from repro.sim.memory import MemorySystem
 from repro.sim.queues import QueueChannel
 
 
 @dataclass
-class TmaJob:
+class _InFlight:
     """One in-flight offload job."""
 
-    mode: str  # 'tile' | 'stream' | 'gather'
-    vector_sectors: list[tuple[int, ...]]
-    data_vector_sectors: list[tuple[int, ...]] | None
+    job: TmaJob
     channel: QueueChannel | None
-    smem_words_per_vector: int
     on_complete: Callable[[float], None] | None
     next_vector: int = 0
     next_issue_time: float = 0.0
@@ -43,7 +42,7 @@ class TmaJob:
     pending_phase2: deque = field(default_factory=deque)
 
     def issue_done(self) -> bool:
-        return self.next_vector >= len(self.vector_sectors)
+        return self.next_vector >= self.job.num_vectors
 
     def fully_done(self) -> bool:
         return self.issue_done() and not self.pending_phase2
@@ -55,42 +54,27 @@ class TmaEngine:
     def __init__(self, config: GPUConfig, memory: MemorySystem) -> None:
         self._config = config
         self._memory = memory
-        self._jobs: list[TmaJob] = []
+        self._jobs: list[_InFlight] = []
         self.vectors_issued = 0
         self.jobs_started = 0
 
     def submit(
         self,
         now: float,
-        job_desc: dict[str, Any],
+        job: TmaJob,
         channel: QueueChannel | None,
         on_complete: Callable[[float], None] | None,
     ) -> None:
         """Accept a job from a TMA configuration instruction."""
-        vectors = [tuple(v) for v in job_desc.get("vector_sectors", [])]
-        data_vectors = job_desc.get("data_vector_sectors")
-        if data_vectors is not None:
-            data_vectors = [tuple(v) for v in data_vectors]
-        smem_words = job_desc.get("smem_words", 0)
-        per_vector_smem = 0
-        if smem_words and vectors:
-            per_vector_smem = max(1, smem_words // len(vectors))
-        job = TmaJob(
-            mode=job_desc.get("mode", "stream"),
-            vector_sectors=vectors,
-            data_vector_sectors=data_vectors,
-            channel=channel,
-            smem_words_per_vector=per_vector_smem,
-            on_complete=on_complete,
-            next_issue_time=now,
-            last_completion=now,
-        )
         self.jobs_started += 1
-        if not vectors:
+        if not job.num_vectors:
             if on_complete is not None:
                 on_complete(now)
             return
-        self._jobs.append(job)
+        self._jobs.append(_InFlight(
+            job, channel, on_complete,
+            next_issue_time=now, last_completion=now,
+        ))
 
     # -- engine stepping ------------------------------------------------
 
@@ -99,74 +83,76 @@ class TmaEngine:
         if not self._jobs:
             return
         rate = self._config.tma_vectors_per_cycle
-        still_active: list[TmaJob] = []
-        for job in self._jobs:
-            self._advance_phase1(job, now, rate)
-            self._advance_phase2(job, now)
-            if job.fully_done():
-                if job.on_complete is not None:
-                    job.on_complete(job.last_completion)
-                    job.on_complete = None
+        still_active: list[_InFlight] = []
+        for flight in self._jobs:
+            self._advance_phase1(flight, now, rate)
+            self._advance_phase2(flight, now)
+            if flight.fully_done():
+                if flight.on_complete is not None:
+                    flight.on_complete(flight.last_completion)
+                    flight.on_complete = None
             else:
-                still_active.append(job)
+                still_active.append(flight)
         self._jobs = still_active
 
-    def _advance_phase1(self, job: TmaJob, now: float, rate: float) -> None:
-        two_phase = job.data_vector_sectors is not None
-        while not job.issue_done() and job.next_issue_time <= now:
-            if job.channel is not None and not job.channel.can_push():
+    def _advance_phase1(
+        self, flight: _InFlight, now: float, rate: float
+    ) -> None:
+        two_phase = flight.job.data_vector_sectors is not None
+        while not flight.issue_done() and flight.next_issue_time <= now:
+            if flight.channel is not None and not flight.channel.can_push():
                 # Back-pressure (the paper: "delaying issue until
                 # entries are available"): retry once the consumer pops.
-                job.next_issue_time = now + 1
+                flight.next_issue_time = now + 1
                 return
-            issue_time = job.next_issue_time
-            sectors = job.vector_sectors[job.next_vector]
+            issue_time = flight.next_issue_time
+            sectors = flight.job.vector_sectors[flight.next_vector]
             completion = self._memory.access_global(issue_time, sectors)
             self.vectors_issued += 1
             if two_phase:
                 # Acquire the queue entry now; data follows in phase 2.
                 # The reservation lives on the channel so concurrent
                 # jobs sharing it cannot over-commit.
-                if job.channel is not None:
-                    job.channel.reserve()
-                job.pending_phase2.append((completion, job.next_vector))
+                if flight.channel is not None:
+                    flight.channel.reserve()
+                flight.pending_phase2.append((completion, flight.next_vector))
             else:
-                self._finish_vector(job, completion)
-            job.next_vector += 1
-            job.next_issue_time += 1.0 / rate
+                self._finish_vector(flight, completion)
+            flight.next_vector += 1
+            flight.next_issue_time += 1.0 / rate
 
-    def _advance_phase2(self, job: TmaJob, now: float) -> None:
-        while job.pending_phase2 and job.pending_phase2[0][0] <= now:
-            index_ready, vector = job.pending_phase2.popleft()
-            data_sectors = job.data_vector_sectors[vector]
+    def _advance_phase2(self, flight: _InFlight, now: float) -> None:
+        data_vector_sectors = flight.job.data_vector_sectors
+        while flight.pending_phase2 and flight.pending_phase2[0][0] <= now:
+            assert data_vector_sectors is not None  # only gathers queue
+            index_ready, vector = flight.pending_phase2.popleft()
+            data_sectors = data_vector_sectors[vector]
             completion = self._memory.access_global(index_ready, data_sectors)
-            self._finish_vector(job, completion, reserved=True)
+            self._finish_vector(flight, completion, reserved=True)
 
     def _finish_vector(
-        self, job: TmaJob, completion: float, reserved: bool = False
+        self, flight: _InFlight, completion: float, reserved: bool = False
     ) -> None:
-        if job.smem_words_per_vector:
+        smem_words = flight.job.smem_words_per_vector
+        if smem_words:
             # Charge SMEM bandwidth at data arrival; the write-latency
             # portion is folded into the completion below.
-            smem_done = self._memory.access_smem(
-                completion, job.smem_words_per_vector
-            )
-            completion = smem_done
-        if job.channel is not None:
+            completion = self._memory.access_smem(completion, smem_words)
+        if flight.channel is not None:
             if reserved:
-                job.channel.push_reserved(completion)
+                flight.channel.push_reserved(completion)
             else:
-                job.channel.push(completion)
-        job.last_completion = max(job.last_completion, completion)
+                flight.channel.push(completion)
+        flight.last_completion = max(flight.last_completion, completion)
 
     def next_event_time(self) -> float:
         """Earliest time the engine wants to run again (inf if idle)."""
         best = INFINITY
-        for job in self._jobs:
-            if not job.issue_done():
-                best = min(best, job.next_issue_time)
-            if job.pending_phase2:
-                best = min(best, job.pending_phase2[0][0])
+        for flight in self._jobs:
+            if not flight.issue_done():
+                best = min(best, flight.next_issue_time)
+            if flight.pending_phase2:
+                best = min(best, flight.pending_phase2[0][0])
         return best
 
     def busy(self) -> bool:

@@ -4,7 +4,7 @@ sync-pair tagging edge cases, runner fallbacks."""
 from repro.core.compiler.buffering import tag_tile_sync_pairs
 from repro.core.compiler.pipeline import drop_empty_stages
 from repro.core.compiler.stagesplit import StageProgram
-from repro.fexec.trace import DynamicInstr, WarpTrace
+from repro.fexec.trace import DynamicInstr, TmaJob, WarpTrace
 from repro.isa import Instruction, Opcode, ProgramBuilder, QueueRef, Register
 from repro.isa.opcodes import FuncUnit, InstrCategory
 from repro.isa.program import used_predicates, used_registers
@@ -33,9 +33,14 @@ def test_warp_trace_category_counts_and_sectors():
     )
     trace.instrs.append(
         DynamicInstr(
-            opcode=Opcode.TMA_STREAM, unit=FuncUnit.TMA,
+            opcode=Opcode.TMA_GATHER, unit=FuncUnit.TMA,
             category=InstrCategory.TMA,
-            tma_job={"total_sectors": 10},
+            tma_job=TmaJob(
+                mode="gather", queue=0, barrier=None,
+                vector_sectors=((4, 5), (6,)),
+                data_vector_sectors=((7, 8, 9), (10, 11, 12, 13)),
+                smem_words=0,
+            ),
         )
     )
     counts = trace.count_by_category()

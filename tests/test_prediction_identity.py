@@ -118,7 +118,8 @@ def tma_fed_queue(traces: list) -> bool:
     return any(
         record.opcode in (Opcode.TMA_TILE, Opcode.TMA_STREAM,
                           Opcode.TMA_GATHER)
-        and (record.tma_job or {}).get("queue") is not None
+        and record.tma_job is not None
+        and record.tma_job.queue is not None
         for trace in traces for warp in trace.warps
         for record in warp.instrs
     )

@@ -66,7 +66,7 @@ def test_heap_pop_due_is_insertion_order_independent():
 
 
 def test_heap_empty_is_infinite():
-    from repro.sim.barriers import INFINITY
+    from repro.fexec.barriers import INFINITY
 
     heap = WakeupHeap()
     assert heap.next_time() == INFINITY

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.barriers import (
+from repro.fexec.barriers import (
     INFINITY,
     BarrierFile,
     TimedArriveWait,

@@ -1,6 +1,7 @@
 """TMA engine: pacing, back-pressure, two-phase gathers, barriers."""
 
-from repro.sim.barriers import INFINITY, TimedArriveWait
+from repro.fexec.barriers import INFINITY, TimedArriveWait
+from repro.fexec.trace import TmaJob
 from repro.sim.config import GPUConfig
 from repro.sim.memory import MemorySystem
 from repro.sim.queues import QueueChannel
@@ -13,13 +14,20 @@ def _engine():
     return TmaEngine(config, memory), memory
 
 
+def _job(mode, vector_sectors, data_vector_sectors=None, smem_words=0):
+    return TmaJob(
+        mode=mode, queue=None, barrier=None,
+        vector_sectors=tuple(vector_sectors),
+        data_vector_sectors=(
+            None if data_vector_sectors is None
+            else tuple(data_vector_sectors)
+        ),
+        smem_words=smem_words,
+    )
+
+
 def _stream_job(vectors: int):
-    return {
-        "mode": "stream",
-        "vector_sectors": [(k,) for k in range(vectors)],
-        "data_vector_sectors": None,
-        "smem_words": 0,
-    }
+    return _job("stream", [(k,) for k in range(vectors)])
 
 
 def test_stream_job_fills_channel():
@@ -58,12 +66,7 @@ def test_full_queue_backpressures_engine():
 def test_gather_two_phase_ordering():
     engine, memory = _engine()
     chan = QueueChannel(0, 0, capacity=16)
-    job = {
-        "mode": "gather",
-        "vector_sectors": [(1,)],
-        "data_vector_sectors": [(2, 3)],
-        "smem_words": 0,
-    }
+    job = _job("gather", [(1,)], data_vector_sectors=[(2, 3)])
     engine.submit(0.0, job, chan, None)
     engine.advance(0.0)
     # Phase 1 issued; entry not yet pushed (data pending).
@@ -78,12 +81,11 @@ def test_gather_two_phase_ordering():
 def test_gather_reserves_entries_during_phase2():
     engine, _ = _engine()
     chan = QueueChannel(0, 0, capacity=2)
-    job = {
-        "mode": "gather",
-        "vector_sectors": [(k,) for k in range(4)],
-        "data_vector_sectors": [(10 + k,) for k in range(4)],
-        "smem_words": 0,
-    }
+    job = _job(
+        "gather",
+        [(k,) for k in range(4)],
+        data_vector_sectors=[(10 + k,) for k in range(4)],
+    )
     engine.submit(0.0, job, chan, None)
     engine.advance(10.0)
     # Only two phase-1 requests may be outstanding (capacity 2).
@@ -93,12 +95,7 @@ def test_gather_reserves_entries_during_phase2():
 def test_tile_job_arrives_barrier_at_completion():
     engine, _ = _engine()
     barrier = TimedArriveWait("filled", expected=1)
-    job = {
-        "mode": "tile",
-        "vector_sectors": [(k,) for k in range(4)],
-        "data_vector_sectors": None,
-        "smem_words": 64,
-    }
+    job = _job("tile", [(k,) for k in range(4)], smem_words=64)
     engine.submit(0.0, job, None, barrier.arrive)
     engine.advance(1_000_000.0)
     assert len(barrier.arrival_times) == 1
@@ -108,10 +105,7 @@ def test_tile_job_arrives_barrier_at_completion():
 def test_empty_job_completes_immediately():
     engine, _ = _engine()
     barrier = TimedArriveWait("filled", expected=1)
-    job = {
-        "mode": "tile", "vector_sectors": [],
-        "data_vector_sectors": None, "smem_words": 0,
-    }
+    job = _job("tile", [])
     engine.submit(5.0, job, None, barrier.arrive)
     assert barrier.arrival_times == [5.0]
     assert not engine.busy()
