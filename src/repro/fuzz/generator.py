@@ -60,11 +60,6 @@ def _fp_chain(b: ProgramBuilder, value: Register, spec: FuzzSpec) -> Register:
     return acc
 
 
-def _reduce_into(b: ProgramBuilder, acc: Register, value) -> None:
-    # Used by skeletons whose reduce_op stays 'sum'.
-    b.fadd(acc, value, dst=acc)
-
-
 def _launch(spec: FuzzSpec) -> LaunchConfig:
     return LaunchConfig(
         num_warps=spec.num_warps,

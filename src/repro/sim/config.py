@@ -126,7 +126,6 @@ class GPUConfig:
     max_outstanding_loads_per_warp: int = 12
     tma_vectors_per_cycle: float = 1.0   # offload engine issue rate
     rfq_size: int = 32                   # entries per warp channel (Fig 18)
-    max_stages: int = 16
 
     features: WaspFeatures = field(default_factory=WaspFeatures.baseline)
 
@@ -155,10 +154,6 @@ class GPUConfig:
                 f"unknown simulator core {self.core!r}: "
                 "expected 'event' or 'reference'"
             )
-
-    def with_core(self, core: str) -> "GPUConfig":
-        """The same GPU timed by a different SM core loop."""
-        return replace(self, core=core)
 
     # -- convenience constructors ----------------------------------------
 
@@ -197,10 +192,6 @@ class GPUConfig:
     @property
     def warps_per_sm(self) -> int:
         return self.processing_blocks * self.warp_slots_per_pb
-
-    @property
-    def registers_per_pb(self) -> int:
-        return self.registers_per_sm // self.processing_blocks
 
 
 def baseline_a100() -> GPUConfig:

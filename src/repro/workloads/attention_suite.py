@@ -11,7 +11,7 @@ as the Table-II set.
 
 from __future__ import annotations
 
-from repro.workloads.base import Benchmark
+from repro.workloads.base import Benchmark, scaled_count
 from repro.workloads.kernels import (
     fused_attention_kernel,
     gather_kernel,
@@ -20,11 +20,6 @@ from repro.workloads.kernels import (
     streaming_kernel,
 )
 from repro.workloads.registry import register
-
-
-def _n(scale: float, base: int, quantum: int = 128) -> int:
-    """Scale a per-TB element count, keeping warp-multiple alignment."""
-    return max(quantum, int(base * scale) // quantum * quantum)
 
 
 @register("flash_attention")
@@ -41,8 +36,8 @@ def build_flash_attention(scale: float = 1.0) -> Benchmark:
                 score_per_tile=8, seed=80,
             ),
             streaming_kernel(
-                "rope_embed", elems_per_tb=_n(scale, 1536), num_inputs=2,
-                fp_ops=4, num_tbs=4, seed=81,
+                "rope_embed", elems_per_tb=scaled_count(scale, 1536),
+                num_inputs=2, fp_ops=4, num_tbs=4, seed=81,
             ),
         ],
     )
@@ -63,8 +58,8 @@ def build_gemm_epilogue(scale: float = 1.0) -> Benchmark:
         kernels=[
             gemm,
             streaming_kernel(
-                "residual_add", elems_per_tb=_n(scale, 2048), num_inputs=2,
-                fp_ops=1, num_tbs=4, seed=83,
+                "residual_add", elems_per_tb=scaled_count(scale, 2048),
+                num_inputs=2, fp_ops=1, num_tbs=4, seed=83,
             ),
         ],
     )
@@ -79,12 +74,12 @@ def build_moe_routing(scale: float = 1.0) -> Benchmark:
         description="Mixture-of-experts gather-route-scatter",
         kernels=[
             moe_gather_scatter_kernel(
-                "moe_dispatch", tokens_per_tb=_n(scale, 1024),
+                "moe_dispatch", tokens_per_tb=scaled_count(scale, 1024),
                 num_experts=8, expert_words=1 << 10, fp_ops=4,
                 num_tbs=4, seed=84,
             ),
             gather_kernel(
-                "expert_stats", elems_per_tb=_n(scale, 1536),
+                "expert_stats", elems_per_tb=scaled_count(scale, 1536),
                 table_words=1 << 12, hot_fraction=0.5, fp_ops=2,
                 num_tbs=4, seed=85,
             ),

@@ -11,6 +11,11 @@ from repro.fexec.memory_image import MemoryImage
 from repro.isa.program import Program
 
 
+def scaled_count(scale: float, base: int, quantum: int = 128) -> int:
+    """Scale a per-TB element count, keeping warp-multiple alignment."""
+    return max(quantum, int(base * scale) // quantum * quantum)
+
+
 @dataclass
 class Kernel:
     """One kernel of a benchmark.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.workloads.base import Benchmark
+from repro.workloads.base import Benchmark, scaled_count
 from repro.workloads.kernels import (
     csr_spmv_kernel,
     ell_graph_kernel,
@@ -12,10 +12,6 @@ from repro.workloads.kernels import (
 )
 from repro.workloads.registry import register
 from repro.workloads.sparse import banded_csr
-
-
-def _n(scale: float, base: int, quantum: int = 128) -> int:
-    return max(quantum, int(base * scale) // quantum * quantum)
 
 
 @register("hpcg")
@@ -31,8 +27,8 @@ def build_hpcg(scale: float = 1.0) -> Benchmark:
             csr_spmv_kernel("spmv_27pt", matrix,
                             rows_per_tb=rows // 4, num_tbs=4, seed=81),
             streaming_kernel(
-                "waxpby", elems_per_tb=_n(scale, 2048), num_inputs=2,
-                fp_ops=1, num_tbs=4, seed=82,
+                "waxpby", elems_per_tb=scaled_count(scale, 2048),
+                num_inputs=2, fp_ops=1, num_tbs=4, seed=82,
             ),
         ],
     )
@@ -47,18 +43,18 @@ def build_hpgmg(scale: float = 1.0) -> Benchmark:
         description="Geometric multigrid linear solver",
         kernels=[
             stencil_kernel(
-                "smooth_fine", elems_per_tb=_n(scale, 2048),
+                "smooth_fine", elems_per_tb=scaled_count(scale, 2048),
                 offsets=(-64, -8, -1, 0, 1, 8, 64), fp_ops=2,
                 num_tbs=4, seed=83,
             ),
             stencil_kernel(
-                "smooth_coarse", elems_per_tb=_n(scale, 1024),
+                "smooth_coarse", elems_per_tb=scaled_count(scale, 1024),
                 offsets=(-32, -4, -1, 0, 1, 4, 32), fp_ops=2,
                 num_warps=2, num_tbs=2, seed=84,
             ),
             streaming_kernel(
-                "restrict", elems_per_tb=_n(scale, 1024), num_inputs=2,
-                fp_ops=1, num_tbs=4, seed=85,
+                "restrict", elems_per_tb=scaled_count(scale, 1024),
+                num_inputs=2, fp_ops=1, num_tbs=4, seed=85,
             ),
             tile_reduce_kernel(
                 "residual_norm", tiles=max(4, int(10 * scale)),
@@ -77,13 +73,13 @@ def build_lulesh(scale: float = 1.0) -> Benchmark:
         description="Hydrodynamics simulation",
         kernels=[
             ell_graph_kernel(
-                "hourglass_gather", frontier_per_tb=_n(scale, 384),
+                "hourglass_gather", frontier_per_tb=scaled_count(scale, 384),
                 degree=8, num_nodes=1 << 13, fp_ops=4, reduce_min=False,
                 num_tbs=4, seed=86,
             ),
             streaming_kernel(
-                "eos_update", elems_per_tb=_n(scale, 1536), num_inputs=2,
-                fp_ops=10, num_tbs=4, seed=87,
+                "eos_update", elems_per_tb=scaled_count(scale, 1536),
+                num_inputs=2, fp_ops=10, num_tbs=4, seed=87,
             ),
             tile_reduce_kernel(
                 "energy_reduce", tiles=max(4, int(8 * scale)),
@@ -102,11 +98,11 @@ def build_snap(scale: float = 1.0) -> Benchmark:
         description="Particle transport",
         kernels=[
             stencil_kernel(
-                "sweep_flux", elems_per_tb=_n(scale, 2048),
+                "sweep_flux", elems_per_tb=scaled_count(scale, 2048),
                 offsets=(-128, -1, 0), fp_ops=6, num_tbs=4, seed=88,
             ),
             streaming_kernel(
-                "source_moments", elems_per_tb=_n(scale, 2048),
+                "source_moments", elems_per_tb=scaled_count(scale, 2048),
                 num_inputs=3, fp_ops=5, num_tbs=4, seed=89,
             ),
             tile_reduce_kernel(

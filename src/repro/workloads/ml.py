@@ -8,7 +8,7 @@ kernels are where WASP finds new pipeline parallelism.
 
 from __future__ import annotations
 
-from repro.workloads.base import Benchmark
+from repro.workloads.base import Benchmark, scaled_count
 from repro.workloads.kernels import (
     ell_graph_kernel,
     gather_kernel,
@@ -17,11 +17,6 @@ from repro.workloads.kernels import (
     tile_gemm_kernel,
 )
 from repro.workloads.registry import register
-
-
-def _n(scale: float, base: int, quantum: int = 128) -> int:
-    """Scale a per-TB element count, keeping warp-multiple alignment."""
-    return max(quantum, int(base * scale) // quantum * quantum)
 
 
 @register("3d_unet")
@@ -37,12 +32,12 @@ def build_3d_unet(scale: float = 1.0) -> Benchmark:
                 hmma_per_tile=12, num_tbs=2, seed=40,
             ),
             gather_kernel(
-                "upsample_gather", elems_per_tb=_n(scale, 2048),
+                "upsample_gather", elems_per_tb=scaled_count(scale, 2048),
                 table_words=1 << 13, hot_fraction=0.6, fp_ops=3,
                 num_tbs=4, seed=41,
             ),
             streaming_kernel(
-                "instance_norm", elems_per_tb=_n(scale, 2048),
+                "instance_norm", elems_per_tb=scaled_count(scale, 2048),
                 num_inputs=2, fp_ops=4, num_tbs=4, seed=42,
             ),
         ],
@@ -64,12 +59,12 @@ def build_bert(scale: float = 1.0) -> Benchmark:
         kernels=[
             gemm,
             streaming_kernel(
-                "softmax", elems_per_tb=_n(scale, 2048), num_inputs=1,
-                fp_ops=6, num_tbs=4, seed=44,
+                "softmax", elems_per_tb=scaled_count(scale, 2048),
+                num_inputs=1, fp_ops=6, num_tbs=4, seed=44,
             ),
             streaming_kernel(
-                "layernorm", elems_per_tb=_n(scale, 2048), num_inputs=2,
-                fp_ops=3, num_tbs=4, seed=45,
+                "layernorm", elems_per_tb=scaled_count(scale, 2048),
+                num_inputs=2, fp_ops=3, num_tbs=4, seed=45,
             ),
         ],
     )
@@ -84,12 +79,12 @@ def build_curobo(scale: float = 1.0) -> Benchmark:
         description="Kinematics for robot motion planning",
         kernels=[
             ell_graph_kernel(
-                "fk_chain", frontier_per_tb=_n(scale, 384), degree=6,
+                "fk_chain", frontier_per_tb=scaled_count(scale, 384), degree=6,
                 num_nodes=1 << 12, fp_ops=4, reduce_min=False,
                 num_tbs=4, seed=46,
             ),
             gather_kernel(
-                "collision_spheres", elems_per_tb=_n(scale, 1536),
+                "collision_spheres", elems_per_tb=scaled_count(scale, 1536),
                 table_words=1 << 12, hot_fraction=0.5, fp_ops=5,
                 num_tbs=4, seed=47,
             ),
@@ -111,13 +106,13 @@ def build_dlrm(scale: float = 1.0) -> Benchmark:
         description="Deep learning recommendation model",
         kernels=[
             gather_kernel(
-                "embedding_lookup", elems_per_tb=_n(scale, 2048),
+                "embedding_lookup", elems_per_tb=scaled_count(scale, 2048),
                 table_words=1 << 15, hot_fraction=0.2, fp_ops=1,
                 num_tbs=4, seed=49,
             ),
             gemm,
             streaming_kernel(
-                "interaction", elems_per_tb=_n(scale, 2048),
+                "interaction", elems_per_tb=scaled_count(scale, 2048),
                 num_inputs=2, fp_ops=2, num_tbs=4, seed=50,
             ),
         ],
@@ -137,13 +132,13 @@ def build_gpt2(scale: float = 1.0) -> Benchmark:
                 hmma_per_tile=12, num_tbs=2, seed=51,
             ),
             gather_kernel(
-                "kv_cache_gather", elems_per_tb=_n(scale, 2048),
+                "kv_cache_gather", elems_per_tb=scaled_count(scale, 2048),
                 table_words=1 << 14, hot_fraction=0.4, fp_ops=2,
                 num_tbs=4, seed=52,
             ),
             streaming_kernel(
-                "gelu", elems_per_tb=_n(scale, 2560), num_inputs=1,
-                fp_ops=5, num_tbs=4, seed=53,
+                "gelu", elems_per_tb=scaled_count(scale, 2560),
+                num_inputs=1, fp_ops=5, num_tbs=4, seed=53,
             ),
         ],
     )
@@ -162,7 +157,7 @@ def build_pointnet(scale: float = 1.0) -> Benchmark:
         description="Deep learning point set segmentation",
         kernels=[
             gather_kernel(
-                "ball_query_gather", elems_per_tb=_n(scale, 3072),
+                "ball_query_gather", elems_per_tb=scaled_count(scale, 3072),
                 table_words=1 << 13, hot_fraction=0.3, fp_ops=8,
                 num_tbs=4, seed=54,
             ),
@@ -179,16 +174,16 @@ def build_rnnt(scale: float = 1.0) -> Benchmark:
         description="Recurrent neural network",
         kernels=[
             streaming_kernel(
-                "lstm_gates", elems_per_tb=_n(scale, 1024), num_inputs=2,
-                fp_ops=8, num_warps=2, num_tbs=4, seed=55,
+                "lstm_gates", elems_per_tb=scaled_count(scale, 1024),
+                num_inputs=2, fp_ops=8, num_warps=2, num_tbs=4, seed=55,
             ),
             gather_kernel(
-                "joint_gather", elems_per_tb=_n(scale, 1536),
+                "joint_gather", elems_per_tb=scaled_count(scale, 1536),
                 table_words=1 << 13, hot_fraction=0.5, fp_ops=3,
                 num_warps=4, num_tbs=4, seed=56,
             ),
             stencil_kernel(
-                "pred_window", elems_per_tb=_n(scale, 1024),
+                "pred_window", elems_per_tb=scaled_count(scale, 1024),
                 offsets=(-2, -1, 0), fp_ops=4, num_warps=2, num_tbs=2,
                 seed=57,
             ),
