@@ -14,8 +14,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock, Program
+from repro.isa.program import BasicBlock, Program, layout_backedges
 
 _STAGE_LABEL = re.compile(r"^s(\d+)_")
 _JUMP_LABEL = re.compile(r"^jump_table_(\d+)$")
@@ -119,25 +118,16 @@ class NaturalLoop:
 
 
 def section_loops(view: ProgramView, stage: int) -> list[NaturalLoop]:
-    """Loops in a stage section, from layout backedges.
-
-    Mirrors the compiler's own loop notion
-    (:func:`repro.core.compiler.buffering.find_loops`): a backedge is a
-    branch to an earlier-or-equal block in layout order, and the loop
-    body is the contiguous label range between target and branch.
-    """
+    """Loops in a stage section, by the compiler's own loop rule
+    (:func:`repro.isa.program.layout_backedges`)."""
     blocks = view.sections[stage].blocks
-    index = {b.label: i for i, b in enumerate(blocks)}
-    loops: list[NaturalLoop] = []
-    for i, block in enumerate(blocks):
-        term = block.terminator
-        if term is None or term.opcode is not Opcode.BRA:
-            continue
-        target = term.target
-        if target is not None and target in index and index[target] <= i:
-            body = tuple(b.label for b in blocks[index[target]: i + 1])
-            loops.append(NaturalLoop(head=target, body=body))
-    return loops
+    return [
+        NaturalLoop(
+            head=blocks[head].label,
+            body=tuple(b.label for b in blocks[head: tail + 1]),
+        )
+        for head, tail in layout_backedges(blocks)
+    ]
 
 
 def iteration_counts(

@@ -34,7 +34,7 @@ from repro.core.compiler.pdg import PDG
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Immediate, Register
-from repro.isa.program import BasicBlock, Program
+from repro.isa.program import BasicBlock, Program, layout_backedges
 
 
 def fuse_ldgsts(program: Program, pdg: PDG) -> int:
@@ -140,15 +140,7 @@ class Loop:
 
 def find_loops(program: Program) -> list[Loop]:
     """Loops from backedges (branch to an earlier block in layout)."""
-    label_idx = {b.label: i for i, b in enumerate(program.blocks)}
-    loops = []
-    for idx, block in enumerate(program.blocks):
-        term = block.terminator
-        if term is not None and term.opcode is Opcode.BRA:
-            target_idx = label_idx[term.target]
-            if target_idx <= idx:
-                loops.append(Loop(head_idx=target_idx, tail_idx=idx))
-    return loops
+    return [Loop(h, t) for h, t in layout_backedges(program.blocks)]
 
 
 def innermost_loop(program: Program, block_idx: int) -> Loop | None:

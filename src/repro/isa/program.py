@@ -13,7 +13,7 @@ warp-specialized programs — the WASP thread-block specification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ValidationError
 from repro.isa.instruction import Instruction
@@ -368,6 +368,26 @@ class Program:
             for instr in blk.instructions:
                 new_blk.append(instr.clone())
         return copy
+
+
+def layout_backedges(blocks: Sequence[BasicBlock]) -> list[tuple[int, int]]:
+    """The loops of ``blocks``, as ``(head, tail)`` index pairs.
+
+    The one loop rule of the compiler and the static verifier: a
+    ``BRA`` ending block ``tail`` whose target is block ``head <= tail``
+    of the same list is a backedge, and the loop body is the contiguous
+    layout range ``head..tail``.  Branches leaving the list close no
+    loop.
+    """
+    index = {b.label: i for i, b in enumerate(blocks)}
+    edges: list[tuple[int, int]] = []
+    for tail, block in enumerate(blocks):
+        term = block.terminator
+        if term is not None and term.opcode is Opcode.BRA:
+            head = index.get(term.target or "", tail + 1)
+            if head <= tail:
+                edges.append((head, tail))
+    return edges
 
 
 def _canon_instruction(instr: Instruction) -> str:
