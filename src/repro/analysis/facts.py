@@ -1,12 +1,13 @@
 """One program's static facts, built once and shared by every analysis.
 
 The verifier, translation validation, racediff and the fuzz oracle all
-ask the same questions of a compiled program: its stage-partitioned
-view, the queue/barrier/SMEM site index, the thread-block spec, each
-stage's loop nest, the happens-before solve and the default verifier
-report.  :class:`PipelineFacts` answers each question the first time
-it is asked and keeps the answer, so one compile solves happens-before
-once however many analyses read the result.
+ask the same questions of a compiled program: its digest, its
+stage-partitioned view, the queue/barrier/SMEM site index, the
+thread-block spec, each stage's loop nest, the happens-before solve and
+the default verifier report.  :class:`PipelineFacts` answers each
+question the first time it is asked and keeps the answer, so one
+compile solves happens-before once however many analyses read the
+result.
 
 Facts describe one :class:`~repro.isa.program.Program` object that is
 no longer being rewritten; a rewritten program (a fuzz mutation, say)
@@ -27,6 +28,7 @@ from repro.analysis.cfg import (
 from repro.analysis.dataflow.hb import HBAnalysis, analyze_hb
 from repro.analysis.sites import PipelineSites, collect_sites
 from repro.core.specs import ThreadBlockSpec
+from repro.isa import serialize
 from repro.isa.program import Program
 
 if TYPE_CHECKING:
@@ -39,6 +41,13 @@ class PipelineFacts:
     def __init__(self, program: Program) -> None:
         self.program = program
         self._loops: dict[int, list[NaturalLoop]] = {}
+
+    @cached_property
+    def program_digest(self) -> str:
+        """:func:`~repro.isa.serialize.program_digest` of the program:
+        the key of transval's certificates, the fuzz oracle's
+        dynamic-outcome memo and the trace cache."""
+        return serialize.program_digest(self.program)
 
     @cached_property
     def view(self) -> ProgramView:

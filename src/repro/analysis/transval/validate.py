@@ -189,7 +189,7 @@ def validate_programs(
         raise ValueError("facts describe a different program")
     with span("transval", "validate"):
         _CERTIFICATES.select(program_digest(source))
-        key = program_digest(specialized)
+        key = facts.program_digest
         cached = _CERTIFICATES.reports.get(key)
         reused = cached is not None
         if cached is None:

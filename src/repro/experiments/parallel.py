@@ -8,11 +8,11 @@ boundary — sweeps and ``repro fuzz`` both go through it — and
 * **Determinism** — results are assembled by task identity, so
   ``--jobs N`` produces numerically identical figures to ``--jobs 1``.
 * **No duplicated work** — tasks are grouped by kernel content digest
-  and each group is one fan-out unit, at every job count.  Trace-cache
-  keys and result-tier entries start with that digest, so every cell
-  that can share a trace or a replay runs in the same process: no two
-  workers generate the same trace, and serial and parallel sweeps
-  simulate the same distinct (entry, GPU) set.
+  and each group is one fan-out unit, at every job count.  Every
+  program a group executes is that kernel or one of its compiles, so
+  every cell that can share a trace or a replay runs in the same
+  process: no two workers generate the same trace, and serial and
+  parallel sweeps simulate the same distinct (entry, GPU) set.
 
 Job count comes from ``jobs=`` (CLI ``--jobs``), else the
 ``REPRO_JOBS`` environment variable, else 1 (in-process, no pool).

@@ -1,21 +1,27 @@
 """Kernel and benchmark execution under evaluation configurations.
 
-Compilation and functional execution (the expensive trace generation)
-are cached per (kernel, compiler options); timing replays and
-perf-model predictions are memoized on the cached entry per replay
-key: the GPU with its features reduced to those a replay of the
-entry's traces can observe (:func:`~repro.sim.gpu.replay_key`).
-Configurations whose GPUs a replay cannot tell apart share it:
-BASELINE and WASP_GPU replay an unspecialized kernel once.
-Per-kernel opt-in mirrors the paper: the specialized version is used
-only where it beats the unspecialized kernel on the same hardware.
+Functional traces (the expensive part) are cached on what the machine
+executes: the program, its launch and its initial memory image.  A
+specialized lookup compiles the kernel under the option set (memoized
+in memory per (kernel, options)) and then finds or generates the
+traces of the compiled program, so option sets that compile to one
+program share its traces.  Timing replays and perf-model predictions
+are memoized on the cached entry per replay key: the GPU with its
+features reduced to those a replay of the entry's traces can observe
+(:func:`~repro.sim.gpu.replay_key`).  Configurations whose GPUs a
+replay cannot tell apart share it: BASELINE and WASP_GPU replay an
+unspecialized kernel once.  Per-kernel opt-in mirrors the paper: the
+specialized version is used only where it beats the unspecialized
+kernel on the same hardware.
 
-Cache entries are **content-addressed**: the key is a SHA-256 over the
-kernel's canonical IR encoding, launch geometry, initial memory image
-and the compiler-option tuple (see :meth:`Kernel.content_digest`), so
-structurally identical kernels share an entry regardless of object
-identity, and entries persist across processes through the on-disk
-:class:`~repro.fexec.trace_store.TraceStore`.
+Cache entries are **content-addressed**: the key is a SHA-256 over
+:func:`~repro.workloads.base.execution_digest` (the executed program's
+:func:`~repro.isa.serialize.program_digest`, the launch geometry and
+the initial image) and the trace format, so identical runs share an
+entry regardless of object identity or of the option set that
+produced the program, and entries persist across processes through
+the on-disk :class:`~repro.fexec.trace_store.TraceStore`.  A changed
+compiler output is a new key, never a stale hit.
 """
 
 from __future__ import annotations
@@ -31,14 +37,16 @@ from repro.core.compiler import (
 )
 from repro.errors import CompilerError, ResourceError, SimulationError
 from repro.experiments.configs import EvalConfig
+from repro.fexec.launch import LaunchConfig
 from repro.fexec.machine import run_kernel as run_functional
 from repro.fexec.trace import TRACE_FORMAT_VERSION, KernelTrace
 from repro.fexec.trace_store import TraceStore
+from repro.isa.program import Program
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import SimResult, replay_key, simulate_kernel
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
-from repro.workloads.base import Benchmark, Kernel
+from repro.workloads.base import Benchmark, Kernel, execution_digest
 
 if TYPE_CHECKING:  # the perf model imports this module
     from repro.analysis.perfmodel.model import Prediction
@@ -132,8 +140,9 @@ def harvest_cache_stats(stats: CacheStats) -> None:
 
 @dataclass
 class _TraceEntry:
+    """The traces of one executed program, with their result tier."""
+
     traces: list[KernelTrace]
-    compile_result: CompileResult | None
     #: Result tier: replay key (resolved core, reduced GPU) -> replay
     #: of ``traces``.
     sims: dict[tuple, SimResult] = field(default_factory=dict)
@@ -145,11 +154,12 @@ class _TraceEntry:
 class TraceCache:
     """Two-tier (memory + optional disk) functional-trace cache.
 
-    The in-memory tier maps content keys to live entries within one
+    The in-memory tier maps trace keys to live entries within one
     process; the optional :class:`TraceStore` tier shares traces across
     processes and runs.  ``TraceCache()`` with no store is purely
     in-memory (what unit tests want); the shared :data:`GLOBAL_CACHE`
-    is backed by the environment-configured store.
+    is backed by the environment-configured store.  Beside them sits
+    an in-memory index from (kernel, options) to the compile.
 
     On top sits a *result tier*: each live entry memoizes its replays
     (:meth:`simulate`) and perf-model predictions (:meth:`predict`) by
@@ -160,32 +170,45 @@ class TraceCache:
 
     def __init__(self, store: TraceStore | None = None) -> None:
         self._entries: dict[str, _TraceEntry] = {}
+        self._compiles: dict[tuple, CompileResult] = {}
         self.store = store
         self.stats = CacheStats()
 
+    def compile(
+        self, kernel: Kernel, options: WaspCompilerOptions
+    ) -> CompileResult:
+        """``kernel`` compiled under ``options``, once per process.
+
+        A :class:`CompilerError` propagates and is not remembered.
+        """
+        index = (kernel.content_digest(), _options_key(options))
+        result = self._compiles.get(index)
+        if result is None:
+            result = self._compiles[index] = WaspCompiler(options).compile(
+                kernel.program, num_warps=kernel.launch.num_warps
+            )
+        return result
+
     def key_for(
         self, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> str:
-        """Content-addressed cache key for (kernel, options)."""
-        text = (
-            f"{kernel.content_digest()}"
-            f"|opts={_options_key(options)!r}"
-            f"|format={TRACE_FORMAT_VERSION}"
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    ) -> str | None:
+        """The trace key of what (kernel, options) executes, or
+        ``None`` when ``options`` do not specialize the kernel."""
+        if options is None:
+            return _trace_key(kernel.content_digest())
+        run = self._compiled_run(kernel, options)
+        return None if run is None else _trace_key(run[2])
 
     def original(self, kernel: Kernel) -> _TraceEntry:
-        return self._get(kernel, None)
+        return self._entry(
+            kernel, kernel.program, kernel.launch, kernel.content_digest()
+        )
 
     def specialized(
         self, kernel: Kernel, options: WaspCompilerOptions
     ) -> _TraceEntry | None:
-        entry = self._get(kernel, options)
-        if entry.compile_result is not None and (
-            not entry.compile_result.specialized
-        ):
-            return None
-        return entry
+        run = self._compiled_run(kernel, options)
+        return None if run is None else self._entry(kernel, *run)
 
     def simulate(self, entry: _TraceEntry, gpu: GPUConfig) -> SimResult:
         """``simulate_kernel(entry.traces, gpu)``, once per replay key
@@ -227,91 +250,58 @@ class TraceCache:
             entry.sims.clear()
             entry.predictions.clear()
 
-    def _get(
-        self, kernel: Kernel, options: WaspCompilerOptions | None
+    def _compiled_run(
+        self, kernel: Kernel, options: WaspCompilerOptions
+    ) -> tuple[Program, LaunchConfig, str] | None:
+        """(program, launch, execution digest) of ``kernel`` compiled
+        under ``options``; ``None`` when the compile does not
+        specialize."""
+        result = self.compile(kernel, options)
+        if result.facts is None:  # not specialized
+            return None
+        launch = replace(
+            kernel.launch,
+            num_warps=kernel.launch.num_warps * result.num_stages,
+        )
+        digest = execution_digest(
+            result.facts.program_digest, launch, kernel.image_digest()
+        )
+        return result.program, launch, digest
+
+    def _entry(
+        self,
+        kernel: Kernel,
+        program: Program,
+        launch: LaunchConfig,
+        digest: str,
     ) -> _TraceEntry:
-        key = self.key_for(kernel, options)
+        """The entry of one run: memory, then disk, then the machine."""
+        key = _trace_key(digest)
         entry = self._entries.get(key)
         if entry is not None:
             self.stats.memory_hits += 1
             return entry
-        entry = self._load(key, kernel, options)
-        if entry is None:
-            entry = self._generate(key, kernel, options)
-        self._entries[key] = entry
-        return entry
-
-    def _load(
-        self, key: str, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> _TraceEntry | None:
-        """Rebuild an entry from the disk tier, or ``None`` on miss.
-
-        For specialized entries the (cheap) compilation is re-run to
-        reconstruct the :class:`CompileResult`; only the expensive
-        functional execution is skipped.  A disagreement between the
-        stored metadata and the recompile — the compiler changed under
-        a stale cache — falls through to regeneration.
-        """
-        if self.store is None:
-            return None
-        payload = self.store.load(key)
-        if payload is None:
-            return None
-        if options is None:
-            if not payload["traces"]:
-                return None
+        payload = self.store.load(key) if self.store is not None else None
+        if payload is not None and payload["traces"]:
             self.stats.disk_hits += 1
-            return _TraceEntry(traces=payload["traces"], compile_result=None)
-        compiler = WaspCompiler(options)
-        result = compiler.compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
-        if not result.specialized:
-            return None
-        if payload.get("num_stages") != result.num_stages:
-            return None
-        self.stats.disk_hits += 1
-        return _TraceEntry(traces=payload["traces"], compile_result=result)
-
-    def _generate(
-        self, key: str, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> _TraceEntry:
-        if options is None:
-            with span("fexec", "trace"):
-                traces = run_functional(
-                    kernel.program, kernel.image_factory(), kernel.launch
-                ).traces
-            self.stats.generations += 1
-            entry = _TraceEntry(traces=traces, compile_result=None)
-            self._persist(key, entry)
-            return entry
-        compiler = WaspCompiler(options)
-        result = compiler.compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
-        if result.specialized:
-            launch = replace(
-                kernel.launch,
-                num_warps=kernel.launch.num_warps * result.num_stages,
-            )
-            with span("fexec", "trace"):
-                traces = run_functional(
-                    result.program, kernel.image_factory(), launch
-                ).traces
-            self.stats.generations += 1
-            entry = _TraceEntry(traces=traces, compile_result=result)
-            self._persist(key, entry, num_stages=result.num_stages)
+            traces = payload["traces"]
         else:
-            # Nothing expensive to persist: rediscovering "does not
-            # specialize" is a compile, not a functional run.
-            entry = _TraceEntry(traces=[], compile_result=result)
+            with span("fexec", "trace"):
+                traces = run_functional(
+                    program, kernel.image_factory(), launch
+                ).traces
+            self.stats.generations += 1
+            if self.store is not None and self.store.save(key, traces):
+                self.stats.disk_writes += 1
+        entry = self._entries[key] = _TraceEntry(traces)
         return entry
 
-    def _persist(self, key: str, entry: _TraceEntry, **meta) -> None:
-        if self.store is None or not entry.traces:
-            return
-        if self.store.save(key, entry.traces, **meta):
-            self.stats.disk_writes += 1
+
+def _trace_key(digest: str) -> str:
+    """Store key of the traces of a run with this
+    :func:`~repro.workloads.base.execution_digest`."""
+    text = f"{digest}|format={TRACE_FORMAT_VERSION}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _GLOBAL_CACHE = TraceCache(store=TraceStore.from_env())
@@ -449,7 +439,7 @@ def run_kernel(
         cycles=sim.cycles,
         sim=sim,
         used_specialized=use_spec,
-        compile_result=entry.compile_result if entry else None,
+        compile_result=cache.compile(kernel, options) if entry else None,
         fallback_sim=None if options is None else plain_sim,
     )
     if predict:

@@ -28,7 +28,8 @@ For one generated spec the oracle:
 
 Within one run the oracle does each distinct piece of work once: a
 clean variant whose compiled program (by
-:func:`~repro.isa.serialize.program_digest`) repeats an earlier
+:attr:`~repro.analysis.facts.PipelineFacts.program_digest`, the digest
+translation validation already computed) repeats an earlier
 variant's reuses that variant's dynamic-check outcome, re-reported
 under its own option set and verifier rules; translation validation and
 the static/dynamic agreement check still run per variant.  Injected
@@ -58,7 +59,6 @@ from repro.fuzz.generator import build_kernel
 from repro.fuzz.spec import SPEC_VERSION, FuzzSpec
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.isa.serialize import program_digest
 from repro.telemetry.registry import TELEMETRY
 from repro.workloads.base import Kernel
 
@@ -430,7 +430,7 @@ def _check_one_variant(
     if inject is not None:
         outcome = dynamic()  # each mutated variant runs
     else:
-        digest = program_digest(facts.program)
+        digest = facts.program_digest
         if digest in outcomes:
             count_reuse("dynamic")
         else:

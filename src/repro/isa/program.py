@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import ValidationError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.operands import Operand, Predicate, Register
+from repro.isa.operands import Predicate, Register
 
 
 @dataclass
@@ -325,30 +325,6 @@ class Program:
                 lines.append(f"    {instr!r}")
         return "\n".join(lines)
 
-    # -- canonical hashing --------------------------------------------------
-
-    def canonical_encoding(self) -> str:
-        """A stable structural encoding of the program.
-
-        Two programs that execute identically produce identical
-        encodings regardless of object identity or creation order: the
-        kernel *name* and instruction ``uid``\\ s are excluded, while
-        every behaviour-bearing field (opcodes, operands, guards,
-        branch targets, barrier ids, attrs, categories, SMEM layout,
-        register counts) is included.  This is the basis of the
-        content-addressed trace cache.
-        """
-        parts = [
-            f"smem={self.smem_words}",
-            f"regs={self.register_count()}",
-            "buffers=" + _canon_value(sorted(self.smem_buffers.items())),
-        ]
-        for blk in self.blocks:
-            parts.append(f"block {blk.label}:")
-            for instr in blk.instructions:
-                parts.append(_canon_instruction(instr))
-        return "\n".join(parts)
-
     def clone(self) -> "Program":
         """Deep copy in which every instruction gets a fresh uid.
 
@@ -388,44 +364,6 @@ def layout_backedges(blocks: Sequence[BasicBlock]) -> list[tuple[int, int]]:
             if head <= tail:
                 edges.append((head, tail))
     return edges
-
-
-def _canon_instruction(instr: Instruction) -> str:
-    fields = [
-        instr.opcode.value,
-        _canon_operand(instr.dst),
-        "[" + ",".join(_canon_operand(s) for s in instr.srcs) + "]",
-        _canon_operand(instr.guard),
-        "neg" if instr.guard_negated else "pos",
-        instr.target or "-",
-        instr.barrier_id or "-",
-        instr.category.value if instr.category is not None else "-",
-        _canon_value(sorted(instr.attrs.items())),
-    ]
-    return "|".join(fields)
-
-
-def _canon_operand(op: Operand | None) -> str:
-    if op is None:
-        return "-"
-    # Operand reprs are unambiguous across kinds (R0 / P0 / #v / Q0 / SR_*)
-    # and distinguish int from float immediates.
-    return repr(op)
-
-
-def _canon_value(value: object) -> str:
-    """Deterministic encoding of attr values (dicts sorted, type-tagged)."""
-    if isinstance(value, dict):
-        items = ",".join(
-            f"{_canon_value(k)}:{_canon_value(v)}"
-            for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        )
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canon_value(v) for v in value) + "]"
-    if isinstance(value, Operand):
-        return _canon_operand(value)
-    return f"{type(value).__name__}:{value!r}"
 
 
 def used_registers(instrs: Iterable[Instruction]) -> set[Register]:

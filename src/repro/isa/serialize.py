@@ -1,16 +1,17 @@
 """JSON encode/decode for ISA programs, instructions and operands.
 
-The canonical text encoding (:meth:`Program.canonical_encoding`) is a
-one-way content hash; this module is the *reversible* counterpart: a
-plain-JSON document from which the exact program structure can be
-rebuilt.  It exists so fuzz corpus entries, cached compiler outputs and
-cross-process tooling can move programs around without pickling.
+This module encodes a program as a plain-JSON document from which the
+exact program structure can be rebuilt.  It exists so fuzz corpus
+entries, cached compiler outputs and cross-process tooling can move
+programs around without pickling.
 
-:func:`program_digest` is the one program hash that covers everything
-an analysis can read — name and thread-block spec included — with the
-compiler's uid-derived ``key`` attrs renumbered so the digest depends
-only on content.  Translation validation memoizes certificates on it,
-and ``tests/test_compile_identity.py`` pins compiles by the same
+:func:`program_digest` is the one program hash.  It covers everything
+an analysis or the functional machine can read — name and thread-block
+spec included — with the compiler's uid-derived ``key`` attrs
+renumbered so the digest depends only on content.  Translation
+validation memoizes certificates on it, the trace cache keys traces on
+it (through :func:`~repro.workloads.base.execution_digest`), and
+``tests/test_compile_identity.py`` pins compiles by the same
 :func:`canonical_program_doc`.
 
 Round-trip contract (pinned by ``tests/test_isa_serialize.py``):

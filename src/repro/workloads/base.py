@@ -9,6 +9,7 @@ from typing import Callable
 from repro.fexec.launch import LaunchConfig
 from repro.fexec.memory_image import MemoryImage
 from repro.isa.program import Program
+from repro.isa.serialize import program_digest
 
 
 def scaled_count(scale: float, base: int, quantum: int = 128) -> int:
@@ -41,29 +42,49 @@ class Kernel:
     weight: float = 1.0
     is_gemm: bool = False
 
-    def content_digest(self) -> str:
-        """Stable content hash of everything trace generation depends on.
+    def image_digest(self) -> str:
+        """:meth:`MemoryImage.content_digest` of the initial image.
 
-        Combines the program's canonical encoding, the launch geometry
-        and the initial memory image, so structurally identical kernels
-        hash identically across objects and processes.  Programs and
-        image factories are treated as immutable once the kernel is
-        built (the compiler clones before transforming), so the digest
-        is memoized per instance.
+        Image factories are treated as immutable once the kernel is
+        built, so the image is built and hashed once per instance.
+        """
+        cached = self.__dict__.get("_image_digest")
+        if cached is None:
+            cached = self.image_factory().content_digest()
+            self.__dict__["_image_digest"] = cached
+        return cached
+
+    def content_digest(self) -> str:
+        """:func:`execution_digest` of the unspecialized run.
+
+        Programs are treated as immutable once the kernel is built (the
+        compiler clones before transforming), so the digest is memoized
+        per instance.
         """
         cached = self.__dict__.get("_content_digest")
         if cached is None:
-            h = hashlib.sha256()
-            h.update(self.program.canonical_encoding().encode("utf-8"))
-            h.update(
-                f"|launch:{self.launch.num_warps}:{self.launch.warp_width}"
-                f":{self.launch.num_thread_blocks}".encode("utf-8")
+            cached = execution_digest(
+                program_digest(self.program), self.launch,
+                self.image_digest(),
             )
-            h.update(f"|image:{self.image_factory().content_digest()}"
-                     .encode("utf-8"))
-            cached = h.hexdigest()
             self.__dict__["_content_digest"] = cached
         return cached
+
+
+def execution_digest(
+    program_digest: str, launch: LaunchConfig, image_digest: str
+) -> str:
+    """SHA-256 over everything a functional run reads.
+
+    That is the program (by :func:`~repro.isa.serialize.program_digest`,
+    name included), the launch geometry and the initial memory image,
+    so identical runs hash identically across objects and processes.
+    """
+    text = (
+        f"{program_digest}|launch:{launch.num_warps}:{launch.warp_width}"
+        f":{launch.num_thread_blocks}|image:{image_digest}"
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -24,6 +24,7 @@ from repro.fuzz.spec import generate_spec
 from repro.isa import Opcode, ProgramBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
+from repro.isa.serialize import program_digest
 from repro.sweeps import registry_kernels
 
 
@@ -300,13 +301,13 @@ def test_dead_code_elimination_keeps_survivor_edges(seed, options):
 
 def _compile_fingerprinting_builds(kernel, options):
     """Compile ``kernel``; also fingerprint every program a PDG is built
-    for by its instruction uids plus its canonical encoding."""
+    for by its instruction uids plus its program digest."""
     versions = []
 
     def fingerprinting(program):
         versions.append((
             tuple(instr.uid for instr in program.instructions()),
-            program.canonical_encoding(),
+            program_digest(program),
         ))
         return build_pdg(program)
 

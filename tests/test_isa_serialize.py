@@ -33,6 +33,7 @@ from repro.isa.operands import (
     SpecialRegister,
 )
 from repro.isa.serialize import (
+    canonical_program_doc,
     decode_instruction,
     decode_operand,
     decode_program,
@@ -147,7 +148,7 @@ def test_decode_rejects_non_predicate_guard():
 
 def test_program_round_trip_generated_kernels():
     """Whole generated programs — baseline and warp-specialized —
-    survive encode→decode→encode with canonical encodings intact."""
+    survive encode→decode→encode with canonical documents intact."""
     for seed in range(12):
         kernel = build_kernel(generate_spec(seed))
         result = WaspCompiler(WaspCompilerOptions()).compile(
@@ -159,8 +160,8 @@ def test_program_round_trip_generated_kernels():
         for program in programs:
             doc = encode_program(program)
             back = decode_program(json.loads(json.dumps(doc)))
-            assert (back.canonical_encoding()
-                    == program.canonical_encoding())
+            assert (canonical_program_doc(back)
+                    == canonical_program_doc(program))
             assert encode_program(back) == doc
 
 
@@ -187,7 +188,7 @@ def test_program_round_trip_preserves_tb_spec():
 def test_program_round_trip_deep_pipeline():
     """A deep circular-buffer program (8-slot ring, per-slot phase
     barriers and ``__db{k}`` buffer copies) survives the round trip
-    with its canonical encoding and ring metadata intact."""
+    with its canonical document and ring metadata intact."""
     kernel = build_kernel(generate_spec(5))  # every sixth seed is deep
     result = WaspCompiler(
         WaspCompilerOptions(pipeline_depth=8, enable_tma_offload=False)
@@ -195,7 +196,9 @@ def test_program_round_trip_deep_pipeline():
     assert result.specialized
     doc = encode_program(result.program)
     back = decode_program(json.loads(json.dumps(doc)))
-    assert back.canonical_encoding() == result.program.canonical_encoding()
+    assert canonical_program_doc(back) == canonical_program_doc(
+        result.program
+    )
     assert encode_program(back) == doc
     # The per-slot ring state is part of the round trip: all eight
     # phase-letter empty barriers and the slot-1..7 buffer copies.

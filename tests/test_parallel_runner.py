@@ -38,6 +38,7 @@ def isolated_cache(tmp_path):
     """Point GLOBAL_CACHE at an empty store in a fresh state."""
     saved = runner.GLOBAL_CACHE.__dict__.copy()
     runner.GLOBAL_CACHE._entries = {}
+    runner.GLOBAL_CACHE._compiles = {}
     runner.GLOBAL_CACHE.stats = CacheStats()
     runner.GLOBAL_CACHE.store = TraceStore(tmp_path / "cache")
     yield runner.GLOBAL_CACHE
@@ -125,14 +126,14 @@ def test_parallel_cache_stats_aggregate_from_workers(isolated_cache,
     equal a serial sweep's exactly.
 
     Every sweep groups its cells by kernel content digest and runs each
-    group in one process; trace-cache keys start with that digest, so
-    no two workers ever look up the same trace.  On two fresh stores,
-    ``jobs=1`` and ``jobs=2`` therefore count the same memory hits,
-    disk hits and generations — each unique (kernel, options) trace is
-    generated exactly once: not zero times (counters lost in the pool)
-    and not more (duplicated work).
+    group in one process; every program a group executes is that
+    kernel or one of its compiles, so no two workers ever look up the
+    same trace.  On two fresh stores, ``jobs=1`` and ``jobs=2``
+    therefore count the same memory hits, disk hits and generations —
+    each distinct executed program is traced exactly once: not zero
+    times (counters lost in the pool) and not more (duplicated work).
     """
-    from repro.experiments.runner import _compiler_options_for, _options_key
+    from repro.experiments.runner import _compiler_options_for
     from repro.workloads import get_benchmark
 
     configs = _configs()
@@ -147,12 +148,12 @@ def test_parallel_cache_stats_aggregate_from_workers(isolated_cache,
     unique = set()
     for name in FAST:
         for kernel in get_benchmark(name, SCALE).kernels:
-            digest = kernel.content_digest()
-            unique.add((digest, None))
+            unique.add(isolated_cache.key_for(kernel, None))
             for config in configs:
                 options = _compiler_options_for(kernel, config)
                 if options is not None:
-                    unique.add((digest, _options_key(options)))
+                    unique.add(isolated_cache.key_for(kernel, options))
+    unique.discard(None)  # options that do not specialize trace nothing
     assert stats.generations == len(unique)
     assert stats.lookups > stats.generations  # later cells hit the cache
 

@@ -57,8 +57,9 @@ def spmv_prediction(spmv_kernel, cache):
 # -- bounds --------------------------------------------------------------
 
 
-def test_queue_digraph_matches_tb_spec(spmv_specialized):
-    spec = spmv_specialized.compile_result.program.tb_spec
+def test_queue_digraph_matches_tb_spec(spmv_kernel, cache):
+    options = _compiler_options_for(spmv_kernel, wasp_gpu_config())
+    spec = cache.compile(spmv_kernel, options).program.tb_spec
     edges = queue_digraph(spec)
     assert edges, "specialized pipeline must have at least one queue"
     declared = {(q.queue_id, q.src_stage, q.dst_stage) for q in spec.queues}

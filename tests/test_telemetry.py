@@ -421,6 +421,7 @@ def isolated_cache(tmp_path):
 
     saved = runner.GLOBAL_CACHE.__dict__.copy()
     runner.GLOBAL_CACHE._entries = {}
+    runner.GLOBAL_CACHE._compiles = {}
     runner.GLOBAL_CACHE.stats = CacheStats()
     runner.GLOBAL_CACHE.store = TraceStore(tmp_path / "cache")
     yield runner.GLOBAL_CACHE
@@ -428,8 +429,8 @@ def isolated_cache(tmp_path):
 
 
 def _distinct_replays(cache, benchmark, scale, configs) -> int:
-    """The (trace-cache entry, replay key) pairs a sweep must
-    simulate."""
+    """The (executed program's trace key, replay key) pairs a sweep
+    must simulate."""
     from repro.experiments.runner import _compiler_options_for, _gpu_for
     from repro.sim.gpu import replay_key
     from repro.workloads import get_benchmark

@@ -1,8 +1,9 @@
 """Content-addressed trace cache: keys, sharing, disk round-trips.
 
-Covers the two-tier :class:`TraceCache`: structurally identical kernels
-must share one entry regardless of object identity, any structural
-mutation must produce a distinct key, and the persistent
+Covers the two-tier :class:`TraceCache`: identical runs must share one
+entry regardless of object identity or of the option set that compiled
+the program, any change to the executed program must produce a
+distinct key, and the persistent
 :class:`TraceStore` tier must round-trip traces bit-identically (record
 sharing included), write byte-reproducible files, and degrade
 gracefully (corrupt files, corrupt record tables, version mismatches)
@@ -84,12 +85,16 @@ def _tiny_kernel(
 def test_identical_kernels_share_cache_entry():
     cache = TraceCache()
     k1 = _tiny_kernel("alpha")
-    k2 = _tiny_kernel("beta")  # same structure, different name/objects
+    k2 = _tiny_kernel("alpha")  # same content, different objects
     assert cache.key_for(k1, None) == cache.key_for(k2, None)
     cache.original(k1)
     cache.original(k2)
     assert cache.stats.generations == 1
     assert cache.stats.memory_hits == 1
+    # The name is program content: traces (and so every SimResult's
+    # kernel_name) carry it.
+    renamed = _tiny_kernel("beta")
+    assert cache.key_for(renamed, None) != cache.key_for(k1, None)
 
 
 def test_mutated_program_gets_distinct_key():
@@ -115,14 +120,15 @@ def test_options_distinguish_cache_entries():
     cache = TraceCache()
     kernel = _tiny_kernel()
     options = wasp_gpu_config().compiler
+    assert cache.key_for(kernel, options) is not None
     assert cache.key_for(kernel, None) != cache.key_for(kernel, options)
 
 
 def test_ring_depth_distinguishes_cache_entries():
-    # A depth-4 compile is a different program from a depth-2 one, so
-    # it must never replay the depth-2 trace.
+    # A depth-4 compile of conv_gemm is a different program from its
+    # depth-2 one, so it must never replay the depth-2 trace.
     cache = TraceCache()
-    kernel = _tiny_kernel()
+    kernel = get_benchmark("3d_unet", 0.1).kernel("conv_gemm")
     options = wasp_gpu_config().compiler
     deep = replace(options, pipeline_depth=4)
     assert cache.key_for(kernel, options) != cache.key_for(kernel, deep)
@@ -131,6 +137,69 @@ def test_ring_depth_distinguishes_cache_entries():
     assert cache.key_for(kernel, options) == cache.key_for(
         kernel, unchecked
     )
+    # Where the depth changes nothing, both depths run one program.
+    tiny = _tiny_kernel()
+    assert cache.key_for(tiny, options) == cache.key_for(tiny, deep)
+
+
+def test_option_sets_compiling_to_one_program_share_its_entry(store):
+    # WASP_COMPILER_TILE and WASP_COMPILER_ALL compile conv_gemm to one
+    # program on one GPU: it is traced, stored and replayed once.
+    kernel = get_benchmark("3d_unet", 0.1).kernel("conv_gemm")
+    cache = TraceCache(store=store)
+    tile, full = (
+        run_kernel(kernel, config, cache)
+        for config in (compiler_tile_config(), compiler_all_config())
+    )
+    assert tile.used_specialized and full.used_specialized
+    assert tile.compile_result is not full.compile_result
+    tile_options, full_options = (
+        _compiler_options_for(kernel, config)
+        for config in (compiler_tile_config(), compiler_all_config())
+    )
+    assert tile_options != full_options
+    entry = cache.specialized(kernel, tile_options)
+    assert entry is cache.specialized(kernel, full_options)
+    assert cache.stats.generations == 2  # plain + one specialized
+    assert store.entry_count() == 2
+    assert len(entry.sims) == 1
+    assert full.sim is tile.sim
+    assert cache.stats.sim_reuses == 2  # the plain and the specialized
+
+
+def test_compiler_change_keeping_the_stage_count_regenerates(
+    store, monkeypatch
+):
+    # A store written before a compiler change must not serve the old
+    # program's traces, even when the new program has as many stages.
+    import repro.core.compiler.pipeline as pipeline
+
+    kernel = get_benchmark("pointnet", 0.1).kernels[0]
+    config = wasp_gpu_config()
+    before = run_kernel(kernel, config, TraceCache(store=store))
+    assert before.compile_result.specialized
+
+    finalize = pipeline.finalize_pipeline
+
+    def padded(*args, **kwargs):
+        program = finalize(*args, **kwargs)
+        program.smem_words += 64
+        return program
+
+    monkeypatch.setattr(pipeline, "finalize_pipeline", padded)
+    cache = TraceCache(store=store)
+    after = run_kernel(kernel, config, cache)
+    compiled = after.compile_result
+    assert compiled.num_stages == before.compile_result.num_stages
+    assert compiled.program.smem_words == (
+        before.compile_result.program.smem_words + 64
+    )
+    assert cache.stats.disk_hits == 1  # the unchanged plain kernel
+    assert cache.stats.generations == 1
+    traces = cache.specialized(kernel, _compiler_options_for(kernel, config))
+    assert {t.smem_words for t in traces.traces} == {
+        compiled.program.smem_words
+    }
 
 
 # -- disk round-trip ---------------------------------------------------------
