@@ -11,7 +11,10 @@ result.
 
 Facts describe one :class:`~repro.isa.program.Program` object that is
 no longer being rewritten; a rewritten program (a fuzz mutation, say)
-is a new object and gets its own facts.
+is a new object and gets its own facts.  A compile's facts are shared
+by every compile of the same source that finalizes the same program
+(the compiler's per-source slot, :mod:`repro.core.compiler.memo`), so
+neither they nor their program may be mutated.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ class PipelineFacts:
     @cached_property
     def program_digest(self) -> str:
         """:func:`~repro.isa.serialize.program_digest` of the program:
-        the key of transval's certificates, the fuzz oracle's
-        dynamic-outcome memo and the trace cache."""
+        the key of the compiler's per-source slot, transval's
+        certificates, the fuzz oracle's dynamic-outcome memo and the
+        trace cache."""
         return serialize.program_digest(self.program)
 
     @cached_property

@@ -199,6 +199,9 @@ class KernelValidation:
     #: The certificate came from an earlier identical compile; not
     #: serialized.
     reused: bool = False
+    #: The compile came from an earlier compile of the same source
+    #: under the same compile key; not serialized.
+    compile_reused: bool = False
 
     @property
     def label(self) -> str:
@@ -243,6 +246,10 @@ class ValidateResult:
     @property
     def num_reused(self) -> int:
         return sum(k.reused for k in self.kernels)
+
+    @property
+    def num_compiles_reused(self) -> int:
+        return sum(k.compile_reused for k in self.kernels)
 
     @property
     def clean(self) -> bool:
@@ -395,6 +402,7 @@ def _validate_cell(cell: Cell, args: Namespace) -> list[KernelValidation]:
         matched_stores=tv.matched_stores,
         source_stores=tv.source_stores,
         reused=tv.reused,
+        compile_reused=result.reused,
     )]
 
 
@@ -461,6 +469,7 @@ def _validate_entry(
             matched_stores=tv.matched_stores,
             source_stores=tv.source_stores,
             reused=tv.reused,
+            compile_reused=result.reused,
         )]
     return []
 
@@ -474,6 +483,7 @@ VALIDATE: Sweep[KernelValidation, ValidateResult] = Sweep(
     report=ValidateResult,
     footer=lambda result, elapsed: (
         f"[validated {len(result.kernels)} compile(s) in {elapsed:.1f}s; "
+        f"{result.num_compiles_reused} compile(s) reused; "
         f"{result.num_reused} certificate(s) reused]"
     ),
     axis=_validate_axis,

@@ -11,7 +11,8 @@ without executing or unrolling anything.
 Findings are the ``WASP-T`` diagnostic family; the verdict is
 three-valued (``equivalent`` / ``not-equivalent`` / ``abstain``), and
 abstention is always explicit — never a silent pass.  Each distinct
-(source, compiled program) pair is certified once per process.
+(source, compiled program) pair is certified once per process, in the
+compiler's per-source slot (:mod:`repro.core.compiler.memo`).
 """
 
 from repro.analysis.transval.effects import Summary, summarize_program
@@ -20,7 +21,6 @@ from repro.analysis.transval.validate import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     ValidationReport,
-    clear_certificates,
     validate_or_raise,
     validate_programs,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "NOT_EQUIVALENT",
     "Summary",
     "ValidationReport",
-    "clear_certificates",
     "summarize_program",
     "validate_or_raise",
     "validate_programs",

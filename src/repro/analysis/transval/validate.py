@@ -24,15 +24,18 @@ into a pass:
     no errors, but at least one WASP-T004: the program left the
     validated fragment somewhere, so equivalence is unproven.
 
-Certificates are memoized per process.  Many compiles of one source
-produce the same program (the ring depth often changes nothing), so
-each distinct (source, compiled program) pair is certified once:
+Certificates live in the compiler's per-source slot
+(:mod:`repro.core.compiler.memo`, which also says why one slot is
+enough).  Many compiles of one source produce the same program (the
+ring depth often changes nothing), so each distinct (source, compiled
+program) pair is certified once:
 
 * **Key.** :func:`~repro.isa.serialize.program_digest` of both sides:
   the SHA-256 of the full serialized program — name, thread-block
   spec, SMEM layout, every instruction field and attr — with the
   compiler's uid-derived ``key`` attrs renumbered by first appearance.
-  The digest is content-based on both sides; a mutated or injected
+  The source's digest is the slot's, taken once per compile; the
+  compiled side's is ``facts.program_digest``.  A mutated or injected
   program has different content and so gets its own certificate.
 * **Why reuse is exact.** A validation reads only the two programs'
   contents: the effect summaries, the HB solve and the verifier report
@@ -42,18 +45,11 @@ each distinct (source, compiled program) pair is certified once:
   ``Instruction.__repr__``, which omits both.  A hit therefore returns
   what a fresh run would, as a new :class:`ValidationReport` with a
   copied diagnostic list (the summaries are shared and read-only).  A
-  hit leaves the new compile's ``facts.hb`` and ``facts.report``
-  unsolved; it still opens the ``transval/validate`` span and counts
-  its verdict.
-* **Why one slot is enough.** Every caller validates one source's
-  compiles back to back — ``repro validate`` and fig14 run
-  kernel-outer cells, the fuzz oracle validates one spec's variants,
-  the advisor its candidates — so the memo holds one source: its
-  digest, its effect summary and its certificates.  Validating another
-  source clears the slot, which bounds memory with no size knob.
+  hit on private facts leaves their ``hb`` and ``report`` unsolved; it
+  still opens the ``transval/validate`` span and counts its verdict.
 
 Exceptions are never memoized, and nothing is written to disk;
-:func:`clear_certificates` empties the memo.
+:func:`~repro.core.compiler.memo.clear_source_slot` empties the slot.
 """
 
 from __future__ import annotations
@@ -69,9 +65,9 @@ from repro.analysis.diagnostics import (
 from repro.analysis.facts import PipelineFacts
 from repro.analysis.transval.effects import Summary, summarize_program
 from repro.analysis.transval.match import match_summaries
+from repro.core.compiler.memo import SOURCE_SLOT
 from repro.errors import VerificationError
 from repro.isa.program import Program
-from repro.isa.serialize import program_digest
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 
@@ -80,7 +76,6 @@ __all__ = [
     "NOT_EQUIVALENT",
     "ABSTAIN",
     "ValidationReport",
-    "clear_certificates",
     "validate_programs",
     "validate_or_raise",
 ]
@@ -141,36 +136,6 @@ class ValidationReport:
         }
 
 
-class _Certificates:
-    """The memo's one slot: a source, its summary, its certificates."""
-
-    source: str | None
-    source_summary: Summary | None
-    #: Compiled-program digest -> the certificate issued for it.
-    reports: dict[str, ValidationReport]
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.source = None
-        self.source_summary = None
-        self.reports = {}
-
-    def select(self, source: str) -> None:
-        if source != self.source:
-            self.clear()
-            self.source = source
-
-
-_CERTIFICATES = _Certificates()
-
-
-def clear_certificates() -> None:
-    """Forget every memoized certificate and source summary."""
-    _CERTIFICATES.clear()
-
-
 def validate_programs(
     source: Program,
     specialized: Program,
@@ -182,19 +147,19 @@ def validate_programs(
     ``facts`` are the specialized program's shared facts (a compile's
     :attr:`CompileResult.facts`); without them private ones are built.
     A (source, compiled program) pair certified before is answered from
-    the memo (module docstring).
+    the per-source slot (module docstring).
     """
     facts = facts or PipelineFacts(specialized)
     if facts.program is not specialized:
         raise ValueError("facts describe a different program")
     with span("transval", "validate"):
-        _CERTIFICATES.select(program_digest(source))
+        SOURCE_SLOT.select(source)
         key = facts.program_digest
-        cached = _CERTIFICATES.reports.get(key)
+        cached = SOURCE_SLOT.certificates.get(key)
         reused = cached is not None
         if cached is None:
             cached = _validate(source, specialized, facts)
-            _CERTIFICATES.reports[key] = cached
+            SOURCE_SLOT.certificates[key] = cached
         _count(cached.report, cached.verdict, reused)
         return replace(
             cached,
@@ -216,11 +181,11 @@ def _validate(
     if specialized_output:
         report.extend(_ordering_diagnostics(facts))
         with span("transval", "summarize"):
-            if _CERTIFICATES.source_summary is None:
-                _CERTIFICATES.source_summary = summarize_program(
+            if SOURCE_SLOT.source_summary is None:
+                SOURCE_SLOT.source_summary = summarize_program(
                     source, side="source"
                 )
-            src_sum = _CERTIFICATES.source_summary
+            src_sum = SOURCE_SLOT.source_summary
             spec_sum = summarize_program(
                 specialized, side="specialized", facts=facts
             )

@@ -6,12 +6,15 @@ stage splitting, WASP-TMA offloading, empty-stage dropping, and
 finalization.  Each program version gets at most one dependence graph
 (DESIGN.md §1d).  The result carries the warp-specialized program (with
 the thread-block specification attached), the untouched original, and a
-report used by the evaluation harness.
+report used by the evaluation harness.  Coinciding compiles of one
+source are answered from the per-source slot
+(:mod:`repro.core.compiler.memo`), so a result's program and facts are
+shared and read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.compiler.buffering import (
@@ -22,7 +25,8 @@ from repro.core.compiler.buffering import (
 )
 from repro.core.compiler.extraction import ExtractionPlan, plan_extraction
 from repro.core.compiler.finalize import finalize_pipeline
-from repro.core.compiler.pdg import build_pdg
+from repro.core.compiler.memo import SOURCE_SLOT, compile_key, count_reuse
+from repro.core.compiler.pdg import PDG, build_pdg
 from repro.core.compiler.stagesplit import (
     StageProgram,
     build_stage_programs,
@@ -124,7 +128,13 @@ def options_delta(
 
 @dataclass
 class CompileResult:
-    """Outcome of compiling one kernel."""
+    """Outcome of compiling one kernel.
+
+    ``program``, ``facts``, ``plan`` and ``offload`` are shared with
+    the per-source slot and with every later compile that coincides
+    with this one: read-only.  A caller that rewrites the program
+    clones it first.
+    """
 
     original: Program
     program: Program
@@ -148,6 +158,9 @@ class CompileResult:
     #: verifier report — shared by every analysis that reads it (None
     #: when the compile was not specialized).
     facts: PipelineFacts | None = None
+    #: True when an earlier compile of the same source under the same
+    #: compile key answered this one; not serialized.
+    reused: bool = field(default=False, compare=False)
 
 
 class WaspCompiler:
@@ -187,8 +200,11 @@ class WaspCompiler:
 
     def _compile(self, program: Program, num_warps: int) -> CompileResult:
         program.validate()
+        # Imported lazily: the serializer imports this package.
+        from repro.isa.serialize import program_digest
+
+        SOURCE_SLOT.select(program, program_digest(program))
         opts = self.options
-        original_registers = program.register_count()
         work = program.clone()
         work.name = program.name
 
@@ -210,6 +226,56 @@ class WaspCompiler:
             if fused or double_buffered:
                 pdg = None  # the rewritten program is a new version
 
+        key = compile_key(opts, num_warps, bool(double_buffered))
+        stored = SOURCE_SLOT.compiles.get(key)
+        reused = stored is not None
+        if stored is None:
+            stored = SOURCE_SLOT.compiles[key] = self._passes(
+                program, work, pdg, num_warps, fused, double_buffered
+            )
+        else:
+            count_reuse(
+                "repro_compile_reuses_total",
+                "Compiles answered by an earlier compile of the same "
+                "source under the same compile key.",
+            )
+        result = replace(
+            stored,
+            original=program,
+            program=stored.program if stored.specialized else program,
+            stage_registers=list(stored.stage_registers),
+            double_buffered=list(stored.double_buffered),
+            diagnostics=[],
+            reused=reused,
+        )
+        facts = result.facts
+        if facts is not None and opts.verify:
+            from repro.analysis.verifier import verify_or_raise
+
+            result.diagnostics = list(
+                verify_or_raise(facts.program, facts=facts)
+            )
+        if facts is not None and opts.validate:
+            from repro.analysis.transval import validate_or_raise
+
+            result.transval = validate_or_raise(
+                program, facts.program, facts=facts
+            )
+        return self._emit(result)
+
+    def _passes(
+        self,
+        program: Program,
+        work: Program,
+        pdg: PDG | None,
+        num_warps: int,
+        fused: int,
+        double_buffered: list[str],
+    ) -> CompileResult:
+        """The passes after circular buffering, up to the shared facts
+        of the finalized program; no post-pass."""
+        opts = self.options
+        original_registers = program.register_count()
         if pdg is None:
             with span("compiler", "build_pdg"):
                 pdg = build_pdg(work)
@@ -221,14 +287,14 @@ class WaspCompiler:
                 enable_tile=opts.enable_tile,
             )
         if plan.num_stages <= 1 or not plan.loads:
-            return self._emit(CompileResult(
+            return CompileResult(
                 original=program,
                 program=program,
                 specialized=False,
                 plan=plan,
                 original_registers=original_registers,
                 reason="no extractable pipeline stages",
-            ))
+            )
 
         tag_keys(work)
         with span("compiler", "stage_split"):
@@ -239,14 +305,14 @@ class WaspCompiler:
                 offload = offload_pipeline(stages)
         kept, dropped = drop_empty_stages(stages)
         if len(kept) <= 1:
-            return self._emit(CompileResult(
+            return CompileResult(
                 original=program,
                 program=program,
                 specialized=False,
                 plan=plan,
                 original_registers=original_registers,
                 reason="pipeline collapsed to a single stage",
-            ))
+            )
 
         with span("compiler", "finalize"):
             combined = finalize_pipeline(
@@ -261,33 +327,21 @@ class WaspCompiler:
         # of this compiler and is otherwise independent.
         from repro.analysis.facts import PipelineFacts
 
-        facts = PipelineFacts(combined)
-        diagnostics: list = []
-        if opts.verify:
-            from repro.analysis.verifier import verify_or_raise
-
-            diagnostics = list(verify_or_raise(combined, facts=facts))
-        transval = None
-        if opts.validate:
-            from repro.analysis.transval import validate_or_raise
-
-            transval = validate_or_raise(program, combined, facts=facts)
-        return self._emit(CompileResult(
+        facts = SOURCE_SLOT.share(PipelineFacts(combined))
+        return CompileResult(
             original=program,
-            program=combined,
+            program=facts.program,
             specialized=True,
             plan=plan,
             num_stages=len(kept),
-            stage_registers=list(combined.tb_spec.stage_registers),
+            stage_registers=list(facts.program.tb_spec.stage_registers),
             original_registers=original_registers,
             fused_ldgsts=fused,
             double_buffered=double_buffered,
             offload=offload,
             dropped_stages=dropped,
-            diagnostics=diagnostics,
-            transval=transval,
             facts=facts,
-        ))
+        )
 
 
 def drop_empty_stages(

@@ -26,15 +26,18 @@ For one generated spec the oracle:
    ``transval-false-equivalent`` — the validator must never certify a
    broken program.
 
-Within one run the oracle does each distinct piece of work once: a
-clean variant whose compiled program (by
-:attr:`~repro.analysis.facts.PipelineFacts.program_digest`, the digest
-translation validation already computed) repeats an earlier
-variant's reuses that variant's dynamic-check outcome, re-reported
-under its own option set and verifier rules; translation validation and
-the static/dynamic agreement check still run per variant.  Injected
-runs never reuse.  The metamorphic ladder memoizes its replays the same
-way (:mod:`repro.fuzz.metamorphic`).
+Within one run the oracle does each distinct piece of work once.
+Variants that compile to one program share it and its facts through
+the compiler's per-source slot (:mod:`repro.core.compiler.memo`), so
+the verifier, HB and translation validation run once per distinct
+program.  A clean variant whose compiled program (by
+:attr:`~repro.analysis.facts.PipelineFacts.program_digest`, cached on
+those shared facts) repeats an earlier variant's reuses that variant's
+dynamic-check outcome, re-reported under its own option set and
+verifier rules; the certificate lookup and the static/dynamic agreement
+check still run per variant.  Injected runs never reuse a dynamic
+outcome; they mutate a clone.  The metamorphic ladder memoizes its
+replays the same way (:mod:`repro.fuzz.metamorphic`).
 
 Passing verdicts are persisted content-addressed in the trace store
 (``.repro_cache/`` by default), so repeated fuzz runs over identical

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.transval import clear_certificates
+from repro.core.compiler.memo import clear_source_slot
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.isa import ProgramBuilder, SpecialReg
 
@@ -14,10 +14,10 @@ WIDTH = 16  # narrower warps keep the functional runs fast in tests
 
 @pytest.fixture(autouse=True)
 def _fresh_certificates():
-    """Each test starts with no memoized translation-validation
-    certificate, so whether a validation runs does not depend on which
-    test ran before."""
-    clear_certificates()
+    """Each test starts with an empty per-source slot (no stored
+    compile, program or certificate), so whether a compile or a
+    validation runs does not depend on which test ran before."""
+    clear_source_slot()
 
 
 def build_stream_program(n: int, base_in: int, base_out: int,

@@ -39,14 +39,18 @@ def _compile(program, num_warps=2, **overrides):
 
 @pytest.fixture
 def stream_pipeline():
-    """Two-stage LDG->Q0->compute pipeline (no TMA: explicit queue ops)."""
-    return _compile(build_stream_program(128, 0, 512))
+    """Two-stage LDG->Q0->compute pipeline (no TMA: explicit queue ops).
+
+    A clone: the tests inject defects, and compiled programs are
+    shared and read-only."""
+    return _compile(build_stream_program(128, 0, 512)).clone()
 
 
 @pytest.fixture
 def tile_pipeline():
-    """Two-stage double-buffered LDGSTS/LDS pipeline with barriers."""
-    return _compile(build_tile_program(4, 32, 0, 512, 2))
+    """Two-stage double-buffered LDGSTS/LDS pipeline with barriers
+    (a clone, as above)."""
+    return _compile(build_tile_program(4, 32, 0, 512, 2)).clone()
 
 
 def _rules(program) -> set[str]:

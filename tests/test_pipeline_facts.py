@@ -5,13 +5,14 @@ validation, lint, racediff and the fuzz oracle — reads the compile's
 :class:`PipelineFacts` instead of rebuilding the view, the site walk
 and the happens-before solve.  These tests pin that sharing, and that
 facts never outlive the program they describe.  A compile whose
-program was already certified reuses that certificate and solves
-nothing.
+program the same source already produced shares that program's facts
+and solves nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -25,10 +26,11 @@ from repro.analysis.transval import (
     validate_programs,
 )
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
+from repro.core.compiler.memo import clear_source_slot
 from repro.experiments.configs import wasp_gpu_config
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.mutate import apply_mutation
-from repro.fuzz.oracle import run_oracle
+from repro.fuzz.oracle import OPTION_SETS, run_oracle
 from repro.fuzz.spec import generate_spec
 from repro.isa.serialize import program_digest
 from repro.workloads import get_benchmark
@@ -107,14 +109,23 @@ def test_one_hb_solve_per_distinct_program_across_depths(solves):
     assert solves["hb"] == 1
 
 
-def test_one_hb_solve_per_oracle_variant(solves):
-    report = run_oracle(
-        generate_spec(_ARRIVE_SEED), metamorphic=False,
-        use_verdict_cache=False,
-    )
+def test_one_hb_solve_per_distinct_oracle_program(solves):
+    # The oracle's variants that finalize one program share its facts
+    # through the compiler's per-source slot: one HB solve each.
+    spec = generate_spec(_ARRIVE_SEED)
+    report = run_oracle(spec, metamorphic=False, use_verdict_cache=False)
     assert report.passed
-    assert solves["specialized"] == len(report.specialized_under) > 1
-    assert solves["hb"] == solves["specialized"]
+    hb, specialized = solves["hb"], solves["specialized"]
+    assert specialized == len(report.specialized_under) > 1
+    kernel = build_kernel(spec)
+    programs = set()
+    for _name, options in OPTION_SETS:
+        clear_source_slot()
+        result = WaspCompiler(
+            replace(options, verify=False, validate=False)
+        ).compile(kernel.program, kernel.launch.num_warps)
+        programs.add(program_digest(result.program))
+    assert hb == len(programs) < specialized
 
 
 def test_facts_never_outlive_their_program():

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from tests.test_trace_identity import _registry_traces
 
+from repro.core.compiler.memo import clear_source_slot
 from repro.experiments.configs import (
     baseline_config,
     compiler_all_config,
@@ -187,6 +188,9 @@ def test_compiler_change_keeping_the_stage_count_regenerates(
         return program
 
     monkeypatch.setattr(pipeline, "finalize_pipeline", padded)
+    # A new process running the changed compiler starts with an empty
+    # per-source slot.
+    clear_source_slot()
     cache = TraceCache(store=store)
     after = run_kernel(kernel, config, cache)
     compiled = after.compile_result

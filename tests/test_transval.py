@@ -24,7 +24,6 @@ from repro.analysis.transval import (
     ABSTAIN,
     EQUIVALENT,
     NOT_EQUIVALENT,
-    clear_certificates,
     validate_or_raise,
     validate_programs,
 )
@@ -39,6 +38,7 @@ from repro.analysis.transval.expr import (
     subst_loop,
 )
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
+from repro.core.compiler.memo import clear_source_slot
 from repro.errors import VerificationError
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.mutate import apply_mutation
@@ -339,7 +339,7 @@ def test_memo_parity_on_certify_subset():
     assert len(cells) == 132
     assert sum(tv.reused for *_, tv in cells) == 103
     for source, program, tv in cells:
-        clear_certificates()
+        clear_source_slot()
         fresh = validate_programs(source, program)
         assert not fresh.reused
         assert tv.to_json() == fresh.to_json()
