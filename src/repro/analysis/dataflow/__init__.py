@@ -2,8 +2,9 @@
 
 ``framework`` is the reusable core: lattices, transfer functions and a
 worklist solver, direction-agnostic and checked under strict mypy.
-``hb`` builds the happens-before ordering engine on top of it: an
-iteration-shift event graph whose min-plus fixpoint classifies every
+``hb`` is the happens-before ordering engine: an iteration-shift
+event graph whose min-plus shortest shifts (``MinShiftLattice``
+arithmetic, solved by a dedicated relaxation) classify every
 cross-stage SMEM access pair as ordered, racy or phase-disjoint.
 """
 

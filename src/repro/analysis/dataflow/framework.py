@@ -9,14 +9,17 @@ least fixpoint of
 (edges reversed for :attr:`Direction.BACKWARD`) by chaotic iteration
 with a FIFO worklist.  Edge transfers subsume the classic block-level
 formulation — fold the source block's transfer into every outgoing
-edge — and additionally express edge-weighted problems such as the
-happens-before engine's min-plus shift propagation (:mod:`.hb`).
+edge — and additionally express edge-weighted problems such as
+min-plus shift propagation.
 
 Termination requires the usual conditions: monotone transfers and a
 lattice with no infinite ascending chains from the initial values.
 The two stock lattices below guarantee both — :class:`MinShiftLattice`
 clamps unbounded descent to ``-inf``, and :class:`MeetSetLattice`
 intersects finite sets downward from an implicit universe.
+:class:`MinShiftLattice` also specifies the happens-before engine's
+dedicated shortest-shift solver (:mod:`.hb`); :func:`solve` over it
+is that solver's reference in the tests.
 """
 
 from __future__ import annotations

@@ -29,8 +29,12 @@ sources:
   (``attrs['barrier']``) enters through the ordinary barrier sites.
 
 Min-plus shortest shifts d(u,v) — the strongest provable ordering —
-are a :func:`repro.analysis.dataflow.framework.solve` fixpoint over
-the :class:`MinShiftLattice`.  A cross-stage access pair (W writes,
+come from a FIFO relaxation over integer event ids, one per source
+event.  It computes exactly the fixpoint that
+:func:`repro.analysis.dataflow.framework.solve` reaches over the
+:class:`MinShiftLattice` (the reference the tests compare it with):
+``+inf`` is "no path" and a total below ``-clamp`` (a negative cycle)
+becomes ``-inf``.  A cross-stage access pair (W writes,
 T touches) is then unordered exactly at occurrence shifts
 ``s = j − i`` in the open window ``(−d(T,W), d(W,T))``; the pair races
 iff some unordered shift can touch the same circular-buffer phase
@@ -40,16 +44,12 @@ in DESIGN.md §6e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.cfg import DISPATCH, NaturalLoop
-from repro.analysis.dataflow.framework import (
-    DataflowProblem,
-    MinShiftLattice,
-    dominators,
-    solve,
-)
+from repro.analysis.dataflow.framework import MinShiftLattice, dominators
 from repro.analysis.sites import SmemAccess, arrivals_per_iteration
 from repro.errors import ValidationError
 from repro.telemetry.spans import span
@@ -58,6 +58,9 @@ if TYPE_CHECKING:
     from repro.analysis.facts import PipelineFacts
 
 INF = float("inf")
+
+#: Totals below ``-_CLAMP`` are a negative cycle and become ``-inf``.
+_CLAMP = MinShiftLattice().clamp
 
 ORDERED = "ordered"
 RACY = "racy"
@@ -152,80 +155,125 @@ class HBAnalysis:
 
 
 class _EventGraph:
-    """Shift-labelled event graph plus cached min-plus solves."""
+    """Shift-labelled event graph plus cached min-plus solves.
+
+    Events get dense integer ids in insertion order.  ``_succs[u]``
+    maps each successor id to the minimum shift over the parallel
+    edges ``u → v``: only that one can lie on a shortest path.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Event] = []
-        self._succs: dict[Event, list[tuple[Event, int]]] = {}
-        self._lattice = MinShiftLattice()
-        self._dists: dict[Event, dict[Event, float]] = {}
+        self._ids: dict[Event, int] = {}
+        self._succs: list[dict[int, int]] = []
+        self._dists: dict[int, list[float]] = {}
         self.num_edges = 0
 
-    def add_node(self, event: Event) -> None:
-        if event not in self._succs:
+    def add_node(self, event: Event) -> int:
+        node = self._ids.get(event)
+        if node is None:
+            node = self._ids[event] = len(self.nodes)
             self.nodes.append(event)
-            self._succs[event] = []
+            self._succs.append({})
+        return node
 
     def add_edge(self, src: Event, dst: Event, shift: int) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        self._succs[src].append((dst, shift))
+        out = self._succs[self.add_node(src)]
+        node = self.add_node(dst)
+        if node not in out or shift < out[node]:
+            out[node] = shift
         self.num_edges += 1
 
     def dist(self, src: Event, dst: Event) -> float:
         """Min total shift over all paths src → dst (+inf if none)."""
-        if src not in self._dists:
-            self._dists[src] = self._solve_from(src)
-        return self._dists[src].get(dst, INF)
+        source = self._ids[src]
+        dists = self._dists.get(source)
+        if dists is None:
+            dists = self._dists[source] = self._solve_from(source)
+        node = self._ids.get(dst)
+        return INF if node is None else dists[node]
 
-    def _solve_from(self, src: Event) -> dict[Event, float]:
-        lattice = self._lattice
-        succs: dict[Event, tuple[Event, ...]] = {
-            n: tuple(dst for dst, _ in self._succs[n]) for n in self.nodes
-        }
-        shifts: dict[tuple[Event, Event], int] = {}
-        for node, out in self._succs.items():
-            for dst, shift in out:
-                key = (node, dst)
-                if key not in shifts or shift < shifts[key]:
-                    shifts[key] = shift
+    def _solve_from(self, src: int) -> list[float]:
+        """FIFO min-plus relaxation from ``src``.
 
-        def transfer(u: Event, v: Event, value: float) -> float:
-            return lattice.add(value, shifts[(u, v)])
-
-        problem: DataflowProblem[Event, float] = DataflowProblem(
-            nodes=tuple(self.nodes),
-            successors=succs,
-            bottom=lattice.bottom,
-            join=lattice.join,
-            leq=lattice.leq,
-            transfer=transfer,
-            initial={src: 0.0},
-        )
-        return solve(problem)
+        The worklist order and the arithmetic are those of
+        ``framework.solve`` over :class:`MinShiftLattice` seeded with
+        ``{src: 0.0}``: only nodes with a finite or ``-inf`` distance
+        are ever queued, so ``+inf`` absorbs, and a total below
+        ``-_CLAMP`` becomes ``-inf``, which ends every negative cycle.
+        """
+        succs = self._succs
+        dists = [INF] * len(succs)
+        dists[src] = 0.0
+        queued = [False] * len(succs)
+        queued[src] = True
+        worklist = deque([src])
+        floor = -_CLAMP
+        while worklist:
+            node = worklist.popleft()
+            queued[node] = False
+            base = dists[node]
+            for succ, shift in succs[node].items():
+                total = base + shift
+                if total < floor:
+                    total = -INF
+                if total < dists[succ]:
+                    dists[succ] = total
+                    if not queued[succ]:
+                        queued[succ] = True
+                        worklist.append(succ)
+        return dists
 
 
 def analyze_hb(facts: PipelineFacts) -> HBAnalysis:
     """Run the happens-before engine and classify every access pair.
 
     Read the result through :attr:`PipelineFacts.hb`, which solves
-    once per program.
+    once per program.  Graph construction runs under the
+    ``hb-build`` span and the shortest-shift solves under
+    ``hb-solve``.
     """
+    with span("verifier", "hb-build"):
+        builder = _GraphBuilder(facts)
+        graph = builder.build()
     with span("verifier", "hb-solve"):
-        return _analyze(facts)
+        analysis, pending = _classify(builder, graph)
+    if pending:
+        # Pairs racy only at non-zero shifts: re-solve with depth-1
+        # queue credit to tell credit underflow (S005) from phase
+        # overlap (S004).
+        with span("verifier", "hb-build"):
+            tight = builder.build(credit_depth=_TIGHT_CREDIT)
+        with span("verifier", "hb-solve"):
+            for index, residue in pending:
+                verdict = analysis.verdicts[index]
+                t_wt = tight.dist(verdict.writer.event, verdict.other.event)
+                t_tw = tight.dist(verdict.other.event, verdict.writer.event)
+                rule = (
+                    "WASP-S004" if _window_hits(t_wt, t_tw, residue)
+                    else "WASP-S005"
+                )
+                analysis.verdicts[index] = replace(verdict, rule=rule)
+    return analysis
 
 
-def _analyze(facts: PipelineFacts) -> HBAnalysis:
-    builder = _GraphBuilder(facts)
+def _classify(
+    builder: _GraphBuilder, graph: _EventGraph
+) -> tuple[HBAnalysis, list[tuple[int, tuple[int, int]]]]:
+    """Classify every pair on the base graph.
+
+    Also returns ``(verdict index, conflict residue)`` of each racy
+    pair whose rule needs the tight-credit re-solve; its verdict
+    carries ``rule=None`` until :func:`analyze_hb` attributes it.
+    """
     analysis = HBAnalysis()
     analysis.accesses = builder.accesses
     analysis.unresolved = [
         a for a in builder.accesses if a.group is None
     ]
-    graph = builder.build()
     analysis.num_events = len(graph.nodes)
     analysis.num_edges = graph.num_edges
-    tight: _EventGraph | None = None
+    pending: list[tuple[int, tuple[int, int]]] = []
 
     by_group: dict[str, list[AccessInfo]] = {}
     for access in builder.accesses:
@@ -258,23 +306,13 @@ def _analyze(facts: PipelineFacts) -> HBAnalysis:
                         verdict, rule = ORDERED, None
                 elif not _window_hits(d_wt, d_tw, residue):
                     verdict, rule = ORDERED, None
+                elif _shift_unordered(0, d_wt, d_tw) and (
+                    _residue_matches(0, residue)
+                ):
+                    verdict, rule = RACY, "WASP-S001"
                 else:
-                    verdict = RACY
-                    if _shift_unordered(0, d_wt, d_tw) and (
-                        _residue_matches(0, residue)
-                    ):
-                        rule = "WASP-S001"
-                    else:
-                        if tight is None:
-                            tight = builder.build(
-                                credit_depth=_TIGHT_CREDIT
-                            )
-                        t_wt = tight.dist(writer.event, other.event)
-                        t_tw = tight.dist(other.event, writer.event)
-                        if not _window_hits(t_wt, t_tw, residue):
-                            rule = "WASP-S005"
-                        else:
-                            rule = "WASP-S004"
+                    verdict, rule = RACY, None
+                    pending.append((len(analysis.verdicts), residue))
                 analysis.verdicts.append(PairVerdict(
                     group=group,
                     writer=writer,
@@ -284,7 +322,7 @@ def _analyze(facts: PipelineFacts) -> HBAnalysis:
                     d_wt=d_wt,
                     d_tw=d_tw,
                 ))
-    return analysis
+    return analysis, pending
 
 
 # -- shift-window arithmetic ------------------------------------------

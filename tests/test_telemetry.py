@@ -316,6 +316,36 @@ def test_compile_spans_and_pdg_counter(clean_telemetry):
     assert builds.value == 1 + result.plan.num_stages
 
 
+def test_hb_spans_split_build_from_solve(clean_telemetry):
+    """HB time shows graph building and shortest-shift solving apart."""
+    from repro.analysis.facts import PipelineFacts
+    from repro.fuzz.mutate import apply_mutation
+    from repro.profiling.chrometrace import build_chrome_trace
+    from repro.telemetry.spans import SPANS
+    from tests.test_analysis_dataflow import build_ring_program
+
+    def hb_spans(program):
+        SPANS.clear()
+        analysis = PipelineFacts(program).hb
+        return analysis, [s.name for s in SPANS.by_subsystem()["verifier"]]
+
+    _, names = hb_spans(build_ring_program())
+    assert names == ["hb-build", "hb-solve"]
+    # A pair racy only at non-zero shifts re-solves on the depth-1
+    # credit graph: a second build and a second solve.
+    mutant = apply_mutation(build_ring_program(), "phase-off-by-one")
+    analysis, names = hb_spans(mutant)
+    assert "WASP-S004" in {v.rule for v in analysis.racy()}
+    assert names == ["hb-build", "hb-solve", "hb-build", "hb-solve"]
+    for name, count in (("hb-build", 3), ("hb-solve", 3)):
+        hist = clean_telemetry.histogram(
+            "repro_pass_seconds", {"subsystem": "verifier", "pass": name}
+        )
+        assert hist.count == count
+    events = build_chrome_trace([], spans=SPANS)["traceEvents"]
+    assert {"hb-build", "hb-solve"} <= {e["name"] for e in events}
+
+
 # -- metrics document + Prometheus export -----------------------------------
 
 
