@@ -58,6 +58,13 @@ class ExtractionPlan:
     loads: list[LoadPlan] = field(default_factory=list)
     stage_closures: list[set[int]] = field(default_factory=list)
     demoted: list[Instruction] = field(default_factory=list)
+    #: Whether the stage budget (``max_stages``) demoted a load in some
+    #: planning round, and whether ``enable_streaming=False`` filtered
+    #: out a load that would otherwise have been a candidate.  When
+    #: either is False, every value of that option plans the same
+    #: (the compile key drops it, DESIGN.md §1e).
+    over_budget: bool = False
+    streaming_filtered: bool = False
 
     @property
     def compute_stage(self) -> int:
@@ -168,42 +175,47 @@ def plan_extraction(
     depths = _compute_depths(pdg)
 
     candidates: list[Instruction] = []
+    streaming_filtered = False
     for load in eligibility.eligible:
         is_tile = load.opcode is Opcode.LDGSTS
         if is_tile and not enable_tile:
             continue
-        if not is_tile and not enable_streaming:
-            continue
         if not is_tile and not pdg.data_succs.get(load.uid):
             continue  # dead value: leave to dead-code elimination
+        if not is_tile and not enable_streaming:
+            streaming_filtered = True
+            continue
         candidates.append(load)
 
     demoted: list[Instruction] = []
+    over_budget_seen = False
     while True:
         groups, over_budget = group_by_depth(
             depths, candidates, max_stages=max_stages
         )
         if over_budget:
+            over_budget_seen = True
             demoted.extend(over_budget)
             candidates = [c for c in candidates if c not in over_budget]
             continue
-        num_stages = len(groups) + 1
         if not groups:
-            return ExtractionPlan(
-                skeleton=skeleton,
-                eligibility=eligibility,
-                num_stages=1,
-                demoted=demoted,
+            plan = ExtractionPlan(
+                skeleton=skeleton, eligibility=eligibility, num_stages=1
             )
+            break
         result = _try_assign(
-            pdg, groups, num_stages, skeleton, depths, eligibility
+            pdg, groups, len(groups) + 1, skeleton, depths, eligibility
         )
         if isinstance(result, ExtractionPlan):
-            result.demoted = demoted
-            return result
+            plan = result
+            break
         # result is the load to demote; retry without it.
         demoted.append(result)
         candidates = [c for c in candidates if c.uid != result.uid]
+    plan.demoted = demoted
+    plan.over_budget = over_budget_seen
+    plan.streaming_filtered = streaming_filtered
+    return plan
 
 
 def _try_assign(

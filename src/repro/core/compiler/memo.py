@@ -4,28 +4,44 @@ Many compiles of one source coincide.  ``repro validate`` crosses every
 kernel with four option sets and three ring depths, and a ring depth
 often rings nothing; the fuzz oracle compiles each spec under five
 option sets.  On the toolchain benchmark's certify subset, 132 compiles
-are 52 distinct compiles and 29 distinct programs.  The slot holds one
-source's work, looked up twice inside :meth:`WaspCompiler.compile` and
+are 52 distinct option keys, 32 distinct pipelines and 29 distinct
+programs.  The slot holds one source's work, looked up at up to three
+points inside :meth:`WaspCompiler.compile`, once more on a program, and
 once more by translation validation:
 
-* **Compile key.**  ``num_warps`` plus every compiler option except
-  ``verify`` and ``validate`` (the post-passes run on every call, hit
-  or miss), with ``pipeline_depth`` dropped when circular buffering
-  ringed nothing.  The compiler looks it up after the cheap pre-passes
-  (clone, LDGSTS fusion, sync tagging, circular buffering); a hit skips
-  stage split, the PDG rebuilds, TMA offload and finalize.  Dropping
-  the depth is exact: only :func:`apply_circular_buffering` reads it,
-  and that function returns before its first write whenever it declines
-  a loop, so a compile whose buffering returned ``[]`` leaves the
-  working program the same at every depth
-  (``tests/test_compile_memo.py`` pins this over the registry).
-* **Program key.**  On a compile miss, the finalized program's
-  :func:`~repro.isa.serialize.program_digest`, taken once.  A program
-  the slot already holds answers with that entry's ``Program`` and
-  :class:`~repro.analysis.facts.PipelineFacts`, so the verifier, HB
-  and translation validation run once per distinct program, and every
-  later reader of the digest (certificates, the fuzz oracle's dynamic
-  memo, the trace key) gets the cached ``facts.program_digest``.
+* **Compile key** (:class:`CompileKeys`).  ``num_warps`` plus every
+  compiler option except ``verify`` and ``validate`` (the post-passes
+  run on every call, hit or miss).  An option leaves the key once the
+  pass that reads it has not acted on it, and the compiler looks the
+  key up at each such point:
+
+  - ``options``, after the cheap pre-passes (clone, LDGSTS fusion, sync
+    tagging, circular buffering), ``pipeline_depth`` dropped when
+    buffering ringed nothing;
+  - ``plan``, after :func:`plan_extraction`, ``max_stages`` dropped
+    when no planning round put a load over the stage budget and
+    ``enable_streaming`` when it filtered out no candidate load;
+  - ``offload``, after TMA offload, ``enable_tma_offload`` dropped
+    when offload converted no stream and fused no gather.
+
+  Each drop is exact: the option's only reader provably left its input
+  to the later passes unchanged, so every compile that reaches the same
+  reduced key runs the same passes from there on
+  (``tests/test_compile_memo.py`` pins each rule over the registry at
+  depths 2/4/8, the corpus and 20 fuzz seeds).  A compile stores its
+  result under every key it looked up, so a later compile hits at the
+  earliest point it can; an ``options`` hit skips everything but the
+  pre-passes, a ``plan`` hit also skips stage split, offload and
+  finalize, and an ``offload`` hit skips finalize and the program
+  digest, keeping the caller's own offload report.
+* **Program key.**  When every lookup point misses, the finalized
+  program's :func:`~repro.isa.serialize.program_digest`, taken once.
+  A program the slot already holds answers with that entry's
+  ``Program`` and :class:`~repro.analysis.facts.PipelineFacts`, so the
+  verifier, HB and translation validation run once per distinct
+  program, and every later reader of the digest (certificates, the
+  fuzz oracle's dynamic memo, the trace key) gets the cached
+  ``facts.program_digest``.
 * **Certificates.**  Translation validation's verdicts per program
   digest, and the source's effect summary
   (:mod:`repro.analysis.transval.validate`).  ``validate_programs``
@@ -66,7 +82,7 @@ if TYPE_CHECKING:
     )
     from repro.isa.program import Program
 
-__all__ = ["SOURCE_SLOT", "SourceSlot", "clear_source_slot", "compile_key"]
+__all__ = ["SOURCE_SLOT", "CompileKeys", "SourceSlot", "clear_source_slot"]
 
 
 class SourceSlot:
@@ -134,26 +150,58 @@ def clear_source_slot() -> None:
     SOURCE_SLOT.clear()
 
 
-def compile_key(
-    options: WaspCompilerOptions, num_warps: int, ringed: bool
-) -> tuple:
-    """The compile key: ``num_warps`` and every option the passes read.
+class CompileKeys:
+    """One compile's walk through its compile keys.
 
-    ``verify`` and ``validate`` are post-passes, run on every call.
-    ``pipeline_depth`` is dropped unless circular buffering ringed a
-    loop (module docstring).
+    The key starts as ``num_warps`` plus every option the passes read
+    (``verify`` and ``validate`` are post-passes, run on every call).
+    :meth:`drop` removes an option once the pass that reads it has not
+    acted on it, and :meth:`lookup` probes the slot under the key as it
+    then stands (module docstring).
     """
-    fields = options.to_json()
-    del fields["verify"], fields["validate"]
-    if not ringed:
-        del fields["pipeline_depth"]
-    return (num_warps, *fields.items())
+
+    def __init__(self, options: WaspCompilerOptions, num_warps: int) -> None:
+        self._fields = options.to_json()
+        del self._fields["verify"], self._fields["validate"]
+        self._num_warps = num_warps
+        #: Every key looked up so far, most specific first.
+        self.looked_up: list[tuple] = []
+        #: The lookup point that answered the compile, if one did.
+        self.hit_at: str | None = None
+
+    def drop(self, name: str) -> None:
+        del self._fields[name]
+
+    def lookup(self, at: str) -> CompileResult | None:
+        """The slot's result under the current key, if it holds one."""
+        key = (self._num_warps, *self._fields.items())
+        if self.looked_up and key == self.looked_up[-1]:
+            return None  # nothing dropped since the last miss
+        self.looked_up.append(key)
+        stored = SOURCE_SLOT.compiles.get(key)
+        if stored is not None:
+            self.hit_at = at
+            count_reuse(
+                "repro_compile_reuses_total",
+                "Compiles answered by an earlier compile of the same "
+                "source, by the lookup point that answered.",
+                at=at,
+            )
+        return stored
+
+    def store(self, result: CompileResult) -> CompileResult:
+        """Store ``result`` under every key looked up; returns it."""
+        for key in self.looked_up:
+            SOURCE_SLOT.compiles[key] = result
+        return result
 
 
-def count_reuse(name: str, help: str) -> None:
+def count_reuse(name: str, help: str, **labels: str) -> None:
     # Whether a compile repeats an earlier one depends on what the
     # process compiled before (in-memory compile caches skip repeats
     # entirely), so like the certificate reuses these series are
     # ``invariant=False``.
     if TELEMETRY.enabled:
-        TELEMETRY.counter(name, help=help, invariant=False).inc()
+        TELEMETRY.counter(
+            name, labels=labels, help=help, invariant=False
+        ).inc()

@@ -25,8 +25,8 @@ from repro.core.compiler.buffering import (
 )
 from repro.core.compiler.extraction import ExtractionPlan, plan_extraction
 from repro.core.compiler.finalize import finalize_pipeline
-from repro.core.compiler.memo import SOURCE_SLOT, compile_key, count_reuse
-from repro.core.compiler.pdg import PDG, build_pdg
+from repro.core.compiler.memo import SOURCE_SLOT, CompileKeys
+from repro.core.compiler.pdg import build_pdg
 from repro.core.compiler.stagesplit import (
     StageProgram,
     build_stage_programs,
@@ -205,6 +205,39 @@ class WaspCompiler:
 
         SOURCE_SLOT.select(program, program_digest(program))
         opts = self.options
+        keys = CompileKeys(opts, num_warps)
+        stored = self._passes(program, num_warps, keys)
+        result = replace(
+            stored,
+            original=program,
+            program=stored.program if stored.specialized else program,
+            stage_registers=list(stored.stage_registers),
+            double_buffered=list(stored.double_buffered),
+            diagnostics=[],
+            reused=keys.hit_at is not None,
+        )
+        facts = result.facts
+        if facts is not None and opts.verify:
+            from repro.analysis.verifier import verify_or_raise
+
+            result.diagnostics = list(
+                verify_or_raise(facts.program, facts=facts)
+            )
+        if facts is not None and opts.validate:
+            from repro.analysis.transval import validate_or_raise
+
+            result.transval = validate_or_raise(
+                program, facts.program, facts=facts
+            )
+        return self._emit(result)
+
+    def _passes(
+        self, program: Program, num_warps: int, keys: CompileKeys
+    ) -> CompileResult:
+        """Every pass up to the shared facts of the finalized program,
+        answered from the slot at the first lookup point that hits; no
+        post-pass."""
+        opts = self.options
         work = program.clone()
         work.name = program.name
 
@@ -225,56 +258,12 @@ class WaspCompiler:
                     )
             if fused or double_buffered:
                 pdg = None  # the rewritten program is a new version
+        if not double_buffered:
+            keys.drop("pipeline_depth")
+        stored = keys.lookup("options")
+        if stored is not None:
+            return stored
 
-        key = compile_key(opts, num_warps, bool(double_buffered))
-        stored = SOURCE_SLOT.compiles.get(key)
-        reused = stored is not None
-        if stored is None:
-            stored = SOURCE_SLOT.compiles[key] = self._passes(
-                program, work, pdg, num_warps, fused, double_buffered
-            )
-        else:
-            count_reuse(
-                "repro_compile_reuses_total",
-                "Compiles answered by an earlier compile of the same "
-                "source under the same compile key.",
-            )
-        result = replace(
-            stored,
-            original=program,
-            program=stored.program if stored.specialized else program,
-            stage_registers=list(stored.stage_registers),
-            double_buffered=list(stored.double_buffered),
-            diagnostics=[],
-            reused=reused,
-        )
-        facts = result.facts
-        if facts is not None and opts.verify:
-            from repro.analysis.verifier import verify_or_raise
-
-            result.diagnostics = list(
-                verify_or_raise(facts.program, facts=facts)
-            )
-        if facts is not None and opts.validate:
-            from repro.analysis.transval import validate_or_raise
-
-            result.transval = validate_or_raise(
-                program, facts.program, facts=facts
-            )
-        return self._emit(result)
-
-    def _passes(
-        self,
-        program: Program,
-        work: Program,
-        pdg: PDG | None,
-        num_warps: int,
-        fused: int,
-        double_buffered: list[str],
-    ) -> CompileResult:
-        """The passes after circular buffering, up to the shared facts
-        of the finalized program; no post-pass."""
-        opts = self.options
         original_registers = program.register_count()
         if pdg is None:
             with span("compiler", "build_pdg"):
@@ -286,15 +275,22 @@ class WaspCompiler:
                 enable_streaming=opts.enable_streaming,
                 enable_tile=opts.enable_tile,
             )
+        if not plan.over_budget:
+            keys.drop("max_stages")
+        if not plan.streaming_filtered:
+            keys.drop("enable_streaming")
+        stored = keys.lookup("plan")
+        if stored is not None:
+            return keys.store(stored)
         if plan.num_stages <= 1 or not plan.loads:
-            return CompileResult(
+            return keys.store(CompileResult(
                 original=program,
                 program=program,
                 specialized=False,
                 plan=plan,
                 original_registers=original_registers,
                 reason="no extractable pipeline stages",
-            )
+            ))
 
         tag_keys(work)
         with span("compiler", "stage_split"):
@@ -305,14 +301,20 @@ class WaspCompiler:
                 offload = offload_pipeline(stages)
         kept, dropped = drop_empty_stages(stages)
         if len(kept) <= 1:
-            return CompileResult(
+            return keys.store(CompileResult(
                 original=program,
                 program=program,
                 specialized=False,
                 plan=plan,
                 original_registers=original_registers,
                 reason="pipeline collapsed to a single stage",
-            )
+            ))
+        if offload is None or not (offload.streams or offload.gathers):
+            keys.drop("enable_tma_offload")
+        stored = keys.lookup("offload")
+        if stored is not None:
+            # Offload did nothing either way; the report is the caller's.
+            return keys.store(replace(stored, offload=offload))
 
         with span("compiler", "finalize"):
             combined = finalize_pipeline(
@@ -328,7 +330,7 @@ class WaspCompiler:
         from repro.analysis.facts import PipelineFacts
 
         facts = SOURCE_SLOT.share(PipelineFacts(combined))
-        return CompileResult(
+        return keys.store(CompileResult(
             original=program,
             program=facts.program,
             specialized=True,
@@ -341,7 +343,7 @@ class WaspCompiler:
             offload=offload,
             dropped_stages=dropped,
             facts=facts,
-        )
+        ))
 
 
 def drop_empty_stages(

@@ -8,6 +8,7 @@ import pytest
 from repro.core.compiler.memo import clear_source_slot
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.isa import ProgramBuilder, SpecialReg
+from repro.telemetry.registry import TELEMETRY
 
 WIDTH = 16  # narrower warps keep the functional runs fast in tests
 
@@ -18,6 +19,18 @@ def _fresh_certificates():
     compile, program or certificate), so whether a compile or a
     validation runs does not depend on which test ran before."""
     clear_source_slot()
+
+
+@pytest.fixture
+def clean_telemetry():
+    """Enable a reset global registry; restore prior state after."""
+    was_enabled = TELEMETRY.enabled
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    yield TELEMETRY
+    TELEMETRY.reset()
+    if not was_enabled:
+        TELEMETRY.disable()
 
 
 def build_stream_program(n: int, base_in: int, base_out: int,

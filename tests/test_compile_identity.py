@@ -20,6 +20,10 @@ Three families are pinned, all compiled with ``verify`` and
   set, one digest per entry;
 * fuzz seeds 0..199 the same way, one digest per seed.
 
+Each kernel's cells are compiled back to back, so the compiler's
+per-source slot answers every compile that coincides with an earlier
+one, at whichever lookup point it first can (DESIGN.md §1e); the
+command-line check also prints how many compiles each point answered.
 Tier 1 checks the toolchain benchmark's 11-kernel certify subset (every
 fifth registry kernel).  CI checks the whole file::
 
@@ -45,6 +49,7 @@ from repro.fuzz.oracle import OPTION_SETS
 from repro.fuzz.spec import generate_spec
 from repro.isa.serialize import canonical_program_doc
 from repro.sweeps import registry_kernels
+from repro.telemetry.registry import TELEMETRY
 
 DIGESTS = Path(__file__).resolve().parent / "compile_digests.json"
 SCALE = 0.25
@@ -152,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="re-record tests/compile_digests.json")
     args = parser.parse_args(argv)
+    TELEMETRY.enable()
     digests = all_digests()
     if args.write:
         DIGESTS.write_text(
@@ -169,6 +175,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"MISMATCH {label}", file=sys.stderr)
     print(f"compile digests: {len(digests) - len(bad)}/{len(digests)} "
           f"entries match {DIGESTS.name}")
+    reuses = {
+        at: int(TELEMETRY.counter(
+            "repro_compile_reuses_total", labels={"at": at}
+        ).value)
+        for at in ("options", "plan", "offload")
+    }
+    print(f"compile reuses: {sum(reuses.values())} compiles answered by an "
+          "earlier compile (" + ", ".join(
+              f"{at} {count}" for at, count in reuses.items()
+          ) + ")")
     return 1 if bad else 0
 
 

@@ -46,18 +46,6 @@ from repro.telemetry.trajectory import (
 BOUNDS = exponential_buckets(0.001, 4.0, 8)
 
 
-@pytest.fixture
-def clean_telemetry():
-    """Enable a reset global registry; restore prior state after."""
-    was_enabled = TELEMETRY.enabled
-    TELEMETRY.reset()
-    TELEMETRY.enable()
-    yield TELEMETRY
-    TELEMETRY.reset()
-    if not was_enabled:
-        TELEMETRY.disable()
-
-
 # -- buckets and histograms -------------------------------------------------
 
 
