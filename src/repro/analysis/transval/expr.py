@@ -12,8 +12,8 @@ distributed over sums and like terms collected, so affine address
 arithmetic — the bread and butter of tile/stream kernels — lands in a
 canonical sum-of-products shape.  Everything the machine computes with
 floor/bit semantics (``shl``, ``idiv``, …) stays opaque but is folded
-exactly when all operands are constant, using the very same formulas as
-the functional executor.
+exactly when all operands are constant, by the functional executor's
+own lane functions (:func:`repro.fexec.machine.fold_lane`).
 
 Each recursive node (``Op``, ``GLoad``, ``SLoad``) computes two facts
 once, on first use, and keeps them in fields that ``==``, ``hash``,
@@ -43,8 +43,12 @@ Loop-carried structure is expressed with dedicated nodes:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
+
+from repro.fexec.machine import fold_lane
+from repro.isa.opcodes import Opcode
 
 __all__ = [
     "Expr",
@@ -282,39 +286,27 @@ def _unknown_in(args: tuple[Expr, ...]) -> Unknown | None:
 # -- constant folding (exact machine semantics) --------------------------
 
 
-def _fold(op: str, vals: list[float]) -> float:
-    import math
+#: Folded ops computed by one machine opcode's lane function.
+_FOLD_OPCODES = {
+    "idiv": Opcode.IDIV,
+    "shl": Opcode.SHL,
+    "shr": Opcode.SHR,
+    "and": Opcode.AND,
+    "or": Opcode.OR,
+    "min": Opcode.MIN,
+    "max": Opcode.MAX,
+    "frcp": Opcode.FRCP,
+}
 
-    if op == "idiv":
-        b = vals[1] if vals[1] != 0 else 1.0
-        return math.floor(vals[0] / b)
-    if op == "shl":
-        return math.floor(vals[0]) * (2.0 ** math.floor(vals[1]))
-    if op == "shr":
-        return math.floor(math.floor(vals[0]) / (2.0 ** math.floor(vals[1])))
-    if op == "and":
-        return float(int(vals[0]) & int(vals[1]))
-    if op == "or":
-        return float(int(vals[0]) | int(vals[1]))
-    if op == "min":
-        return min(vals)
-    if op == "max":
-        return max(vals)
-    if op == "frcp":
-        return 1.0 / vals[0] if vals[0] != 0 else 0.0
+
+def _fold(op: str, vals: list[float]) -> float:
+    """``op`` over constants: the functional machine's own lane result."""
     if op == "not":
         return 0.0 if vals[0] else 1.0
     if op in _NEGATED_CMP:
-        a, b = vals
-        res = {
-            "lt": a < b,
-            "le": a <= b,
-            "gt": a > b,
-            "ge": a >= b,
-            "eq": a == b,
-            "ne": a != b,
-        }[op]
-        return 1.0 if res else 0.0
+        return fold_lane(Opcode.ISETP, vals, cmp=op)
+    if op in _FOLD_OPCODES:
+        return fold_lane(_FOLD_OPCODES[op], vals)
     raise AssertionError(f"unfoldable op {op}")
 
 
@@ -568,7 +560,7 @@ def stable_repr(e: Expr) -> str:
     """Deterministic, serializer-independent text form."""
     if isinstance(e, Const):
         v = e.value
-        return str(int(v)) if v == int(v) else repr(v)
+        return str(int(v)) if math.isfinite(v) and v == int(v) else repr(v)
     if isinstance(e, Sym):
         return e.name.lower()
     if isinstance(e, LoopIdx):

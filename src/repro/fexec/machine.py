@@ -119,12 +119,32 @@ _ALU: dict[Opcode, Alu] = {
 
 def _alu(instr: Instruction, width: int) -> Alu | None:
     """The lane-wise function of an ALU instruction (``None``: not ALU)."""
-    if instr.opcode is Opcode.ISETP:
-        cmp = _CMP_FUNCS[instr.attrs["cmp"]]
-        return lambda v: cmp(v[0], v[1]).astype(np.float64)
     if instr.opcode is Opcode.REDUX:
         return lambda v: np.full(width, float(v[0].sum()))
-    return _ALU.get(instr.opcode)
+    return _lane_function(instr.opcode, instr.attrs.get("cmp"))
+
+
+def _lane_function(opcode: Opcode, cmp: str | None) -> Alu | None:
+    if opcode is Opcode.ISETP:
+        compare = _CMP_FUNCS[cmp]
+        return lambda v: compare(v[0], v[1]).astype(np.float64)
+    return _ALU.get(opcode)
+
+
+def fold_lane(
+    opcode: Opcode, values: list[float], cmp: str | None = None
+) -> float:
+    """One lane of ``opcode`` over constant operands, computed by the
+    machine's own lane function (``cmp`` names an ISETP comparison).
+
+    Translation validation folds constants with it, so a fold cannot
+    disagree with execution: float64 throughout, so a shift by 1024 or
+    more gives ±inf and a bitwise op casts a non-finite operand as
+    numpy does, where Python's ``2.0 ** n`` and ``int()`` would raise.
+    """
+    lanes = [np.array([value], dtype=np.float64) for value in values]
+    with np.errstate(all="ignore"):
+        return float(_lane_function(opcode, cmp)(lanes)[0])
 
 
 # -- decoding -------------------------------------------------------------

@@ -18,6 +18,9 @@ Tentpole acceptance, statically checked end to end:
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.analysis.transval import (
@@ -32,17 +35,22 @@ from repro.analysis.transval.expr import (
     LoopIdx,
     Sym,
     add,
+    cmp,
     ite,
     mul,
+    op2,
     stable_repr,
     subst_loop,
+    unary,
 )
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.core.compiler.memo import clear_source_slot
 from repro.errors import VerificationError
+from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.mutate import apply_mutation
 from repro.fuzz.spec import generate_spec
+from repro.isa import Opcode, ProgramBuilder
 from repro.workloads.registry import get_benchmark
 
 # ---------------------------------------------------------------------------
@@ -73,6 +81,74 @@ def test_ite_folds_constant_conditions_and_equal_arms():
     assert stable_repr(ite(Const(1), a, b)) == stable_repr(a)
     assert stable_repr(ite(Const(0), a, b)) == stable_repr(b)
     assert stable_repr(ite(Sym("c"), a, a)) == stable_repr(a)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+#: Operand pairs at the edges of float64: shift counts 1023, 1024 and
+#: past it, zero and negative; infinite and NaN operands on either side.
+_EDGE_OPERANDS = [
+    (3.0, 1023.0), (3.0, 1024.0), (-2.0, 1100.0), (5.0, 0.0), (5.0, -1.0),
+    (5.0, -1100.0), (7.0, 0.0), (_INF, 2.0), (-_INF, 2.0), (_NAN, 2.0),
+    (2.0, _INF), (2.0, -_INF), (2.0, _NAN),
+]
+
+_BINARY_OPCODES = {
+    "idiv": Opcode.IDIV, "shl": Opcode.SHL, "shr": Opcode.SHR,
+    "and": Opcode.AND, "or": Opcode.OR, "min": Opcode.MIN,
+    "max": Opcode.MAX,
+}
+
+
+def _machine_lane(build) -> float:
+    """Run a one-lane kernel storing ``build(builder)``'s register."""
+    image = MemoryImage(1 << 10)
+    out = image.alloc("out", 1)
+    b = ProgramBuilder("fold")
+    value = build(b)
+    b.stg(b.mov(out), value)
+    b.exit()
+    with np.errstate(all="ignore"):
+        run_kernel(b.finish(), image, LaunchConfig(num_warps=1, warp_width=1))
+    return float(image.read_array("out")[0])
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "op", [*_BINARY_OPCODES, "lt", "le", "gt", "ge", "eq", "ne"]
+)
+def test_constant_folding_equals_the_machine_lane(op):
+    """A folded constant is what the functional machine computes, also
+    where Python's own float arithmetic would raise."""
+    for a, b in _EDGE_OPERANDS:
+        if op in _BINARY_OPCODES:
+            folded = op2(op, Const(a), Const(b))
+
+            def build(bld, op=op, a=a, b=b):
+                dst = bld.reg()
+                bld.emit(_BINARY_OPCODES[op], dst=dst,
+                         srcs=[bld.mov(a), bld.mov(b)])
+                return dst
+        else:
+            folded = cmp(op, Const(a), Const(b))
+
+            def build(bld, op=op, a=a, b=b):
+                return bld.sel(bld.isetp(op, bld.mov(a), bld.mov(b)), 1, 0)
+        assert isinstance(folded, Const), (op, a, b)
+        assert _same_float(folded.value, _machine_lane(build)), (op, a, b)
+        stable_repr(folded)  # prints non-finite constants too
+
+
+def test_reciprocal_folding_equals_the_machine_lane():
+    for a in (0.0, 2.0, _INF, -_INF, _NAN):
+        folded = unary("frcp", Const(a))
+        assert isinstance(folded, Const)
+        assert _same_float(
+            folded.value, _machine_lane(lambda bld, a=a: bld.frcp(bld.mov(a)))
+        ), a
 
 
 def test_subst_loop_replaces_only_the_named_loop_index():
