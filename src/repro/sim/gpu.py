@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 
+from repro.core.mapping import map_warps
 from repro.errors import SimulationError
 from repro.fexec.launch import LaunchConfig
 from repro.fexec.machine import run_kernel
@@ -66,7 +67,11 @@ def replay_key(
     ``explicit_naming`` and ``wasp_tma`` are always reset: neither the
     SM cores nor :func:`~repro.analysis.perfmodel.model.predict_traces`
     reads them.  Every other feature acts through the thread-block
-    spec (§III-A: hardware names warps only through it).  Traces of a
+    spec (§III-A: hardware names warps only through it).
+    ``group_pipeline_mapping`` acts only through the warp→processing-
+    block map :func:`~repro.core.mapping.map_warps` gives the SM cores
+    (the perf model never reads it), so it is reset when the slice
+    mapping of every trace's spec equals round-robin.  Traces of a
     spec-less program have one stage and no queues, so mapping,
     occupancy and queue code ignore those features, and every policy
     but LRR ranks single-stage, queue-less warps exactly as GTO does:
@@ -78,6 +83,13 @@ def replay_key(
     features = config.features
     if any(trace.tb_spec is not None for trace in traces):
         reduced = replace(features, explicit_naming=False, wasp_tma=False)
+        blocks = config.processing_blocks
+        if features.group_pipeline_mapping and all(
+            map_warps(t.tb_spec, t.num_warps, blocks, True)
+            == map_warps(t.tb_spec, t.num_warps, blocks, False)
+            for t in traces
+        ):
+            reduced = replace(reduced, group_pipeline_mapping=False)
         return resolve_core(config, core), replace(config, features=reduced)
     if (
         features.pipeline_scheduling

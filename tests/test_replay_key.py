@@ -29,6 +29,7 @@ from benchmarks.toolchain.workloads import KERNELS
 from tests.test_sim_identity import sim_digest
 
 from repro.analysis.perfmodel.model import predict_traces
+from repro.core.mapping import group_pipeline_mapping, round_robin_mapping
 from repro.errors import CompilerError, ResourceError
 from repro.fuzz.metamorphic import RFQ_LADDER
 from repro.experiments.configs import (
@@ -176,6 +177,26 @@ def test_rfq_size_merges_only_spec_less_replays(subset):
     assert specialized > 0
 
 
+def test_group_mapping_is_kept_only_where_it_moves_a_warp(subset):
+    """The WASP mapper acts only through the warp->processing-block map,
+    so a specialized replay keys it away exactly where dealing pipeline
+    slices gives the round-robin map; both cases occur."""
+    _kernels, _cache, found = subset
+    outcomes = set()
+    for _label, traces, gpu, _name in found:
+        spec = traces[0].tb_spec
+        if spec is None or not gpu.features.group_pipeline_mapping:
+            continue
+        blocks = gpu.processing_blocks
+        moves = group_pipeline_mapping(spec, blocks) != round_robin_mapping(
+            spec.num_warps, blocks
+        )
+        kept = replay_key(gpu, traces)[1].features.group_pipeline_mapping
+        assert kept == moves
+        outcomes.add(kept)
+    assert outcomes == {True, False}
+
+
 def test_lrr_pipeline_scheduling_keeps_its_own_key(subset):
     """Round-robin ranks single-stage warps unlike GTO, so a spec-less
     replay under LRR pipeline scheduling is not BASELINE's."""
@@ -210,8 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     bad = mismatches(found)
     for label in bad:
         print(f"MISMATCH {label}", file=sys.stderr)
+    keys = {
+        (id(traces), replay_key(gpu, traces)) for _, traces, gpu, _ in found
+    }
     print(f"replay keys: {len(found) - len(bad)}/{len(found)} replays "
-          f"match their key's replay and prediction")
+          f"match their key's replay and prediction "
+          f"({len(keys)} distinct keys)")
     return 1 if bad or not found else 0
 
 
