@@ -95,6 +95,14 @@ class ThreadBlockSpec:
                         f"queue {queue.queue_id} references stage {stage} "
                         f"outside 0..{self.num_stages - 1}"
                     )
+        negative = sorted(
+            name for name, credit in self.barrier_initial.items()
+            if credit < 0
+        )
+        if negative:
+            raise ValidationError(
+                f"barriers {negative} start with negative arrival credit"
+            )
 
     # -- queries ------------------------------------------------------------
 

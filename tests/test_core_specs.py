@@ -1,5 +1,7 @@
 """Thread-block specification (Table I) invariants."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.specs import (
@@ -47,6 +49,15 @@ def test_queue_stage_bounds_checked():
             stage_registers=[4, 4],
             queues=[NamedQueueSpec(0, 0, 5)],
         )
+
+
+def test_negative_barrier_credit_rejected():
+    """A negative initial credit is the only source of a negative
+    happens-before shift, so it must fail fast, not at the verifier."""
+    spec = replace(_spec(), barrier_initial={"empty": 0, "full": 2})
+    assert spec.barrier_initial == {"empty": 0, "full": 2}
+    with pytest.raises(ValidationError, match="negative arrival credit"):
+        replace(spec, barrier_initial={"empty": -1, "full": 2})
 
 
 def test_self_queue_rejected():
