@@ -1,250 +1,179 @@
 """Micro-benchmark harness for the simulator cores.
 
-The shape follows the ``BaseBenchmark``/harness idiom of GPU perf
-suites: a benchmark object owns its inputs (``setup``), a measured
-region (``run``), and derived metrics; the harness calibrates the
-machine, runs every benchmark with warmup + repeats, and emits one
-JSON document (``BENCH_core.json``) that CI's ``perf-gate`` job diffs
-against the committed baseline.
+Every benchmark is a list of simulator replays from pre-built traces,
+one ``make_simulator(gpu, traces, core).run()`` per item, and every
+number comes from :func:`benchmarks.toolchain.measure.measure`, the
+toolchain benchmark's own method: process CPU, normalized by a
+calibration loop re-sampled after every ``SEGMENT_CPU_S`` of measured
+CPU.  So the repo has one definition of a calibration unit (cu), and
+the harness emits one JSON document (``BENCH_core.json``) that CI's
+``perf-gate`` job diffs against the committed baseline.
 
-Two benchmark families:
+Two benchmark families, each on one SM core:
 
-* :class:`KernelSimBenchmark` — one registry kernel under one GPU
-  config and one SM core; metrics are best wall-clock seconds,
-  simulated cycles, and cycles/second.
-* :class:`Fig14SweepBenchmark` — the full fig14 kernel x config
-  matrix under one core (the ISSUE's trajectory target), simulated
-  back-to-back from pre-built traces.
+* :func:`kernel_benchmark`: one registry benchmark's kernels under
+  one GPU config.  A pass takes tens of milliseconds, well inside one
+  calibration segment, so the list is replayed enough times to span
+  ``MIN_SEGMENTS`` segments (the count comes from a first pass) and
+  the record reports the cost of one pass.
+* :func:`fig14_sweep_benchmark`: the full fig14 kernel x config
+  matrix, simulated back-to-back; one pass spans many segments.
 
-Wall-clock on shared CI runners is noisy, so every measurement is also
-reported *normalized*: divided by a pure-Python calibration loop timed
-in the same process (dimensionless "calibration units").  The gate
-compares normalized values, which cancels machine speed to first
-order.
+A record's ``normalized`` is the median cu per pass over the repeats
+and ``wall_s`` the median wall-clock seconds per pass.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+import math
+import statistics
+from dataclasses import dataclass
 from typing import Any
 
+from benchmarks.toolchain.measure import SEGMENT_CPU_S, measure
+from benchmarks.toolchain.workloads import Item
+
 __all__ = [
-    "BaseBenchmark",
-    "BenchmarkConfig",
-    "BenchmarkHarness",
-    "Fig14SweepBenchmark",
-    "KernelSimBenchmark",
-    "calibrate",
+    "SimBenchmark",
     "check_against_baseline",
     "check_telemetry_overhead",
+    "fig14_sweep_benchmark",
+    "kernel_benchmark",
+    "run_suite",
 ]
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
 
+#: Calibration segments a micro benchmark's repeat spans at least.
+MIN_SEGMENTS = 2
+
 
 @dataclass
-class BenchmarkConfig:
-    """Harness-wide measurement knobs."""
+class SimBenchmark:
+    """Replays of ``(traces, gpu)`` pairs on one SM core."""
 
-    warmup: int = 1
-    repeats: int = 3
-    scale: float = 0.25
+    name: str
+    core: str
+    work: list[tuple[Any, Any]]
 
-
-class BaseBenchmark:
-    """One measured workload: ``setup()`` once, ``run()`` repeatedly.
-
-    Subclasses set :attr:`name`, build their inputs in :meth:`setup`
-    (excluded from timing), and do exactly the measured work in
-    :meth:`run`, returning auxiliary metrics (e.g. simulated cycles).
-    """
-
-    name: str = "base"
-
-    def setup(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def run(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def teardown(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-def calibrate(target_seconds: float = 0.2) -> float:
-    """Seconds per 10M units of a fixed pure-Python workload.
-
-    The workload (integer arithmetic + list/dict traffic) resembles the
-    simulator's instruction mix closely enough to track interpreter and
-    machine speed; the result is this machine's "calibration unit".
-    """
-    def chunk(n: int) -> float:
-        t0 = time.perf_counter()
-        acc = 0
-        data = {}
-        seq = []
-        for i in range(n):
-            acc += i & 7
-            if i & 1:
-                data[i & 255] = acc
-            seq.append(acc)
-            if len(seq) > 64:
-                seq.clear()
-        return time.perf_counter() - t0
-
-    n = 100_000
-    while chunk(n) < target_seconds / 4:
-        n *= 2
-    best = min(chunk(n) for _ in range(3))
-    return best * (10_000_000 / n)
-
-
-class KernelSimBenchmark(BaseBenchmark):
-    """Time one registry kernel under one GPU config and SM core."""
-
-    def __init__(self, bench_name: str, config_name: str, core: str,
-                 scale: float) -> None:
-        self.name = f"{bench_name}/{config_name}/{core}"
-        self.bench_name = bench_name
-        self.config_name = config_name
-        self.core = core
-        self.scale = scale
-        self._work: list[tuple[Any, Any]] = []  # (traces, gpu)
-
-    def setup(self) -> None:
-        from repro.experiments.configs import standard_configs
-        from repro.experiments.runner import _GLOBAL_CACHE, _gpu_for
-        from repro.workloads.registry import get_benchmark
-
-        bench = get_benchmark(self.bench_name, scale=self.scale)
-        config = next(
-            c for c in standard_configs() if c.name == self.config_name
-        )
-        for kernel in bench.kernels:
-            gpu = _gpu_for(kernel, config)
-            traces = _GLOBAL_CACHE.original(kernel).traces
-            self._work.append((traces, gpu))
-
-    def run(self) -> dict[str, Any]:
+    def items(self, seen: dict[int, tuple[float, int]]) -> list[Item]:
+        """One item per replay.  An item returns ``(cycles, issued)``;
+        its check fails when a replay of the same traces disagrees with
+        the first one, which ``seen`` records per work index."""
         from repro.sim.gpu import make_simulator
 
-        cycles = 0.0
-        issued = 0
-        for traces, gpu in self._work:
-            stats = make_simulator(gpu, traces, core=self.core).run()
-            cycles += stats.cycles
-            issued += stats.issued_total
-        return {"cycles": cycles, "issued": issued}
-
-
-class Fig14SweepBenchmark(BaseBenchmark):
-    """The full fig14 kernel x config simulation matrix, one core.
-
-    Traces (functional execution + compilation) are built in
-    ``setup()`` — the measured region is purely the timing simulator,
-    which is what the event core changes.
-    """
-
-    def __init__(self, core: str, scale: float) -> None:
-        self.name = f"fig14-sweep/{core}"
-        self.core = core
-        self.scale = scale
-        self._work: list[tuple[Any, Any]] = []
-
-    def setup(self) -> None:
-        from repro.errors import CompilerError, ResourceError
-        from repro.experiments.configs import standard_configs
-        from repro.experiments.runner import (
-            _GLOBAL_CACHE, _compiler_options_for, _gpu_for,
-        )
-        from repro.workloads.registry import all_benchmarks, get_benchmark
-
-        for name in all_benchmarks():
-            bench = get_benchmark(name, scale=self.scale)
-            for kernel in bench.kernels:
-                for config in standard_configs():
-                    gpu = _gpu_for(kernel, config)
-                    entry = _GLOBAL_CACHE.original(kernel)
-                    self._work.append((entry.traces, gpu))
-                    options = _compiler_options_for(kernel, config)
-                    if options is None:
-                        continue
-                    try:
-                        spec_entry = _GLOBAL_CACHE.specialized(
-                            kernel, options
-                        )
-                    except (CompilerError, ResourceError):
-                        continue
-                    if spec_entry is not None:
-                        self._work.append((spec_entry.traces, gpu))
-
-    def run(self) -> dict[str, Any]:
-        from repro.errors import ReproError
-        from repro.sim.gpu import make_simulator
-
-        cycles = 0.0
-        sims = 0
-        for traces, gpu in self._work:
-            try:
+        items = []
+        for index, (traces, gpu) in enumerate(self.work):
+            def run(traces=traces, gpu=gpu):
                 stats = make_simulator(gpu, traces, core=self.core).run()
-            except ReproError:
-                continue
-            cycles += stats.cycles
-            sims += 1
-        return {"cycles": cycles, "sims": sims}
+                return stats.cycles, stats.issued_total
+
+            def check(out, index=index):
+                first = seen.setdefault(index, out)
+                return None if out == first else f"replay {out} != {first}"
+
+            items.append(Item(f"{self.name}#{index}", run, check))
+        return items
 
 
-@dataclass
-class BenchmarkHarness:
-    """Calibrate, measure every benchmark, emit the JSON document."""
+def kernel_benchmark(
+    bench_name: str, config_name: str, core: str, scale: float
+) -> SimBenchmark:
+    """Every kernel of one registry benchmark under one GPU config."""
+    from repro.experiments.configs import standard_configs
+    from repro.experiments.runner import _GLOBAL_CACHE, _gpu_for
+    from repro.workloads.registry import get_benchmark
 
-    config: BenchmarkConfig = field(default_factory=BenchmarkConfig)
+    config = next(c for c in standard_configs() if c.name == config_name)
+    work = [
+        (_GLOBAL_CACHE.original(kernel).traces, _gpu_for(kernel, config))
+        for kernel in get_benchmark(bench_name, scale=scale).kernels
+    ]
+    return SimBenchmark(f"{bench_name}/{config_name}/{core}", core, work)
 
-    def measure(self, bench: BaseBenchmark) -> dict[str, Any]:
-        bench.setup()
-        try:
-            for _ in range(self.config.warmup):
-                bench.run()
-            best = None
-            metrics: dict[str, Any] = {}
-            for _ in range(max(1, self.config.repeats)):
-                t0 = time.perf_counter()
-                metrics = bench.run()
-                elapsed = time.perf_counter() - t0
-                best = elapsed if best is None else min(best, elapsed)
-        finally:
-            bench.teardown()
-        record = {"wall_s": best, **metrics}
-        cycles = metrics.get("cycles")
-        if cycles:
-            record["cycles_per_sec"] = cycles / best
-        return record
 
-    def run_suite(
-        self, benchmarks: list[BaseBenchmark]
-    ) -> dict[str, Any]:
-        calib = calibrate()
-        results: dict[str, dict[str, Any]] = {}
-        for bench in benchmarks:
-            record = self.measure(bench)
-            record["normalized"] = record["wall_s"] / calib
-            results[bench.name] = record
-            print(
-                f"  {bench.name:40s} {record['wall_s']:8.3f}s "
-                f"({record['normalized']:7.2f} calib units)"
-            )
-        doc: dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "scale": self.config.scale,
-            "repeats": self.config.repeats,
-            "calibration_s": calib,
-            "benchmarks": results,
-        }
-        doc["summary"] = _summarize(results)
-        return doc
+def fig14_sweep_benchmark(core: str, scale: float) -> SimBenchmark:
+    """The full fig14 kernel x config matrix: the original traces of
+    every cell, plus the specialized ones where the config compiles."""
+    from repro.errors import CompilerError, ResourceError
+    from repro.experiments.configs import standard_configs
+    from repro.experiments.runner import (
+        _GLOBAL_CACHE, _compiler_options_for, _gpu_for,
+    )
+    from repro.workloads.registry import all_benchmarks, get_benchmark
+
+    work = []
+    for name in all_benchmarks():
+        for kernel in get_benchmark(name, scale=scale).kernels:
+            for config in standard_configs():
+                gpu = _gpu_for(kernel, config)
+                work.append((_GLOBAL_CACHE.original(kernel).traces, gpu))
+                options = _compiler_options_for(kernel, config)
+                if options is None:
+                    continue
+                try:
+                    entry = _GLOBAL_CACHE.specialized(kernel, options)
+                except (CompilerError, ResourceError):
+                    continue
+                if entry is not None:
+                    work.append((entry.traces, gpu))
+    return SimBenchmark(f"fig14-sweep/{core}", core, work)
+
+
+def measure_benchmark(
+    bench: SimBenchmark, repeats: int
+) -> tuple[dict[str, Any], list[float]]:
+    """Size the pass count from a first pass, then measure ``repeats``
+    times.  Returns the record (costs per pass, medians over the
+    repeats) and the repeats' calibration samples."""
+    seen: dict[int, tuple[float, int]] = {}
+    items = bench.items(seen)
+    first = measure(items)
+    passes = math.ceil(
+        MIN_SEGMENTS * SEGMENT_CPU_S / max(first["work_cpu_s"], 1e-3)
+    )
+    runs = [measure(items * passes) for _ in range(max(1, repeats))]
+    failures = sorted({f for run in [first, *runs] for f in run["failures"]})
+    record: dict[str, Any] = {
+        "normalized": statistics.median(r["work_cu"] for r in runs) / passes,
+        "wall_s": statistics.median(r["wall_s"] for r in runs) / passes,
+        "passes": passes,
+        "cycles": sum(cycles for cycles, _ in seen.values()),
+        "issued": sum(issued for _, issued in seen.values()),
+        "sims": len(seen),
+    }
+    if failures:
+        record["failures"] = failures
+    if record["cycles"]:
+        record["cycles_per_sec"] = record["cycles"] / record["wall_s"]
+    return record, [s for r in runs for s in r["calib_s"]]
+
+
+def run_suite(
+    benchmarks: list[SimBenchmark], repeats: int, scale: float
+) -> dict[str, Any]:
+    """Measure every benchmark and assemble the JSON document."""
+    results: dict[str, dict[str, Any]] = {}
+    samples: list[float] = []
+    for bench in benchmarks:
+        record, calib_s = measure_benchmark(bench, repeats)
+        samples += calib_s
+        results[bench.name] = record
+        print(
+            f"  {bench.name:40s} {record['wall_s']:8.3f}s "
+            f"({record['normalized']:7.3f} cu, {record['passes']} "
+            f"pass(es) per repeat)"
+        )
+    return {
+        "schema": SCHEMA_VERSION,
+        "scale": scale,
+        "repeats": repeats,
+        "calibration_s": statistics.median(samples),
+        "benchmarks": results,
+        "summary": _summarize(results),
+    }
 
 
 def _summarize(results: dict[str, dict[str, Any]]) -> dict[str, Any]:
@@ -270,13 +199,14 @@ def check_against_baseline(
     baseline: dict[str, Any],
     tolerance: float,
 ) -> list[str]:
-    """Regression report: normalized wall-clock vs the committed file.
+    """Regression report: normalized CPU cost vs the committed file,
+    plus any replay that failed its check.
 
     Returns human-readable violation lines (empty = gate passes).  Only
     benchmarks present in both documents are compared; removed or new
     benchmarks are reported informationally by the caller.  Comparison
-    is on calibration-normalized time so a slower CI machine does not
-    fail the gate (and a faster one does not mask a regression).
+    is in calibration units so a slower CI machine does not fail the
+    gate (and a faster one does not mask a regression).
     """
     problems: list[str] = []
     if baseline.get("schema") != current.get("schema"):
@@ -286,14 +216,20 @@ def check_against_baseline(
         ]
     base_bench = baseline.get("benchmarks", {})
     for name, record in current.get("benchmarks", {}).items():
+        failures = record.get("failures")
+        if failures:
+            problems.append(
+                f"{name}: {len(failures)} replay(s) failed, first: "
+                f"{failures[0]}"
+            )
         base = base_bench.get(name)
         if base is None or "normalized" not in base:
             continue
         allowed = base["normalized"] * (1.0 + tolerance)
         if record["normalized"] > allowed:
             problems.append(
-                f"{name}: normalized wall {record['normalized']:.2f} "
-                f"exceeds baseline {base['normalized']:.2f} "
+                f"{name}: {record['normalized']:.3f} cu "
+                f"exceeds baseline {base['normalized']:.3f} cu "
                 f"by more than {tolerance:.0%}"
             )
     return problems
@@ -308,7 +244,7 @@ def check_telemetry_overhead(
 
     The harness always measures with the telemetry registry *and* the
     SMEM sanitizer disabled (their default states), so the *aggregate*
-    normalized wall-clock of the suite vs the committed baseline
+    normalized CPU cost of the suite vs the committed baseline
     bounds what both opt-in code paths cost when off — the telemetry
     counters and the sanitizer's None-guarded hooks in the functional
     machine's hot loops.  The aggregate sum is used rather than
@@ -335,9 +271,9 @@ def check_telemetry_overhead(
     ratio = cur_total / base_total
     if ratio > 1.0 + tolerance:
         return [
-            f"telemetry-disabled overhead: aggregate normalized wall "
-            f"{cur_total:.2f} is {ratio - 1.0:.1%} over baseline "
-            f"{base_total:.2f} (allowed {tolerance:.0%})"
+            f"telemetry-disabled overhead: aggregate {cur_total:.3f} cu "
+            f"is {ratio - 1.0:.1%} over baseline {base_total:.3f} cu "
+            f"(allowed {tolerance:.0%})"
         ]
     return []
 

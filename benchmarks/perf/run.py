@@ -11,8 +11,8 @@ Gate against the committed baseline (CI's ``perf-gate`` job)::
         --output bench_fresh.json --check BENCH_core.json \
         --tolerance 0.2
 
-Exit status 1 when any benchmark's calibration-normalized wall-clock
-regresses past the tolerance.
+Exit status 1 when any benchmark's normalized CPU cost (calibration
+units, ``benchmarks.toolchain.measure``) regresses past the tolerance.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import argparse
 import sys
 
 from benchmarks.perf.harness import (
-    BenchmarkConfig,
-    BenchmarkHarness,
-    Fig14SweepBenchmark,
-    KernelSimBenchmark,
     check_against_baseline,
     check_telemetry_overhead,
     dump_json,
+    fig14_sweep_benchmark,
+    kernel_benchmark,
     load_json,
+    run_suite,
 )
 
 #: Registry kernels micro-benchmarked per core (a slow, a mid, a fast
@@ -46,11 +45,11 @@ def build_suite(scale: float, sweep: bool):
     for bench_name, config_name in MICRO_BENCHMARKS:
         for core in ("reference", "event"):
             suite.append(
-                KernelSimBenchmark(bench_name, config_name, core, scale)
+                kernel_benchmark(bench_name, config_name, core, scale)
             )
     if sweep:
         for core in ("reference", "event"):
-            suite.append(Fig14SweepBenchmark(core, scale))
+            suite.append(fig14_sweep_benchmark(core, scale))
     return suite
 
 
@@ -68,26 +67,24 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare against this committed baseline "
                              "and exit 1 on regression")
     parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed normalized wall-clock regression "
+                        help="allowed normalized CPU-cost regression "
                              "(default 0.2 = 20%%)")
     parser.add_argument("--telemetry-tolerance", type=float,
                         default=None, metavar="FRAC",
                         help="with --check: also fail when the suite's "
-                             "aggregate normalized wall-clock (telemetry "
+                             "aggregate normalized CPU cost (telemetry "
                              "disabled) exceeds the baseline by this "
                              "fraction (ISSUE 7 gate: 0.02)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions per benchmark (best-of)")
+                        help="measured repeats per benchmark (median)")
     parser.add_argument("--no-sweep", action="store_true",
                         help="skip the fig14 sweep benchmarks")
     args = parser.parse_args(argv)
 
-    config = BenchmarkConfig(repeats=args.repeats, scale=args.scale)
-    harness = BenchmarkHarness(config)
     suite = build_suite(args.scale, sweep=not args.no_sweep)
     print(f"[perf] measuring {len(suite)} benchmarks at "
           f"scale {args.scale} ({args.repeats} repeats)")
-    doc = harness.run_suite(suite)
+    doc = run_suite(suite, args.repeats, args.scale)
     for pair, stats in doc["summary"].items():
         print(f"  {pair}: event {stats['speedup']:.2f}x over reference")
     dump_json(doc, args.output)
