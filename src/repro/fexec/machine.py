@@ -89,6 +89,23 @@ def _reciprocal(v: list[Vec]) -> Vec:
         return np.where(v[0] != 0, 1.0 / v[0], 0.0)
 
 
+_TWO_63 = 2.0 ** 63
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_lanes(v: Vec) -> Vec:
+    """``v`` truncated to int64 the same way on every host: NaN is 0
+    and a lane beyond int64 (±inf included) saturates at its bound,
+    where a plain cast is undefined."""
+    inside = np.abs(v) < _TWO_63
+    if inside.all():
+        return v.astype(np.int64)
+    ints = np.where(inside, v, 0.0).astype(np.int64)
+    ints[v >= _TWO_63] = _INT64.max
+    ints[v <= -_TWO_63] = _INT64.min
+    return ints
+
+
 _ALU: dict[Opcode, Alu] = {
     Opcode.IADD: lambda v: v[0] + v[1],
     Opcode.FADD: lambda v: v[0] + v[1],
@@ -103,10 +120,10 @@ _ALU: dict[Opcode, Alu] = {
         np.floor(v[0]) / (2.0 ** np.floor(v[1]))
     ),
     Opcode.AND: lambda v: (
-        v[0].astype(np.int64) & v[1].astype(np.int64)
+        _int64_lanes(v[0]) & _int64_lanes(v[1])
     ).astype(np.float64),
     Opcode.OR: lambda v: (
-        v[0].astype(np.int64) | v[1].astype(np.int64)
+        _int64_lanes(v[0]) | _int64_lanes(v[1])
     ).astype(np.float64),
     Opcode.MIN: lambda v: np.minimum(v[0], v[1]),
     Opcode.MAX: lambda v: np.maximum(v[0], v[1]),
@@ -139,8 +156,9 @@ def fold_lane(
 
     Translation validation folds constants with it, so a fold cannot
     disagree with execution: float64 throughout, so a shift by 1024 or
-    more gives ±inf and a bitwise op casts a non-finite operand as
-    numpy does, where Python's ``2.0 ** n`` and ``int()`` would raise.
+    more gives ±inf and a bitwise op reads a non-finite operand by
+    :func:`_int64_lanes`' rule, where Python's ``2.0 ** n`` and
+    ``int()`` would raise.
     """
     lanes = [np.array([value], dtype=np.float64) for value in values]
     with np.errstate(all="ignore"):

@@ -1,5 +1,7 @@
 """Functional machine semantics: ALU, memory, control, queues, barriers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,31 @@ def test_float_arithmetic_and_frcp():
         b.stg(b.mov(out), r)
 
     assert np.isclose(_run_single(body)[0], 0.2)
+
+
+_INF, _NAN, _TWO_63 = float("inf"), float("nan"), 2.0 ** 63
+
+
+@pytest.mark.parametrize("a, b, want_and, want_or", [
+    (_NAN, 1.0, 0.0, 1.0),
+    (_INF, 1.0, 1.0, _TWO_63),
+    (-_INF, 1.0, 0.0, -_TWO_63),
+    (2.0 ** 70, 3.0, 3.0, _TWO_63),
+    (-(2.0 ** 70), 3.0, 0.0, -_TWO_63),
+])
+def test_bitwise_ops_read_nan_as_zero_and_saturate(a, b, want_and, want_or):
+    """AND/OR read NaN as 0 and saturate a lane beyond int64 (±inf
+    included) at its bound, on every host and without a warning."""
+    def body(bld, out):
+        for slot, opcode in enumerate((Opcode.AND, Opcode.OR)):
+            dst = bld.reg()
+            bld.emit(opcode, dst=dst, srcs=[bld.mov(a), b])
+            bld.stg(bld.mov(out + slot), dst)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _run_single(body, width=1)
+    assert list(got[:2]) == [want_and, want_or]
 
 
 def test_lane_id_and_sel():

@@ -86,11 +86,13 @@ def test_ite_folds_constant_conditions_and_equal_arms():
 _INF, _NAN = float("inf"), float("nan")
 
 #: Operand pairs at the edges of float64: shift counts 1023, 1024 and
-#: past it, zero and negative; infinite and NaN operands on either side.
+#: past it, zero and negative; infinite and NaN operands on either side;
+#: values beyond int64, where a bitwise op saturates.
 _EDGE_OPERANDS = [
     (3.0, 1023.0), (3.0, 1024.0), (-2.0, 1100.0), (5.0, 0.0), (5.0, -1.0),
     (5.0, -1100.0), (7.0, 0.0), (_INF, 2.0), (-_INF, 2.0), (_NAN, 2.0),
-    (2.0, _INF), (2.0, -_INF), (2.0, _NAN),
+    (2.0, _INF), (2.0, -_INF), (2.0, _NAN), (_NAN, 1.0), (_INF, 1.0),
+    (-_INF, 1.0), (2.0 ** 70, 3.0), (-(2.0 ** 70), 3.0), (3.0, 2.0 ** 70),
 ]
 
 _BINARY_OPCODES = {
