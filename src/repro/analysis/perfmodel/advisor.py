@@ -32,6 +32,7 @@ from repro.analysis.perfmodel.model import Prediction, predict_traces
 from repro.core.compiler import WaspCompilerOptions
 from repro.core.compiler.pipeline import options_delta
 from repro.sim.config import GPUConfig
+from repro.telemetry.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.configs import EvalConfig
@@ -231,6 +232,7 @@ def enumerate_candidates(
     return candidates
 
 
+@span("perfmodel", "advise")
 def advise_kernel(
     kernel: "Kernel",
     config: "EvalConfig",

@@ -20,6 +20,7 @@ the timing simulator replays (:mod:`repro.sim`).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,6 +52,7 @@ from repro.isa.operands import (
     SpecialRegister,
 )
 from repro.isa.program import Program
+from repro.telemetry.spans import span
 
 _MAX_DYNAMIC_INSTRS = 5_000_000
 
@@ -836,17 +838,18 @@ def run_kernel(
     code = _Code(program, launch.warp_width)
     traces = []
     races: list[SanitizerRace] = []
-    for tb_id in range(launch.num_thread_blocks):
-        machine = FunctionalMachine(
-            program,
-            memory,
-            launch,
-            tb_id=tb_id,
-            collect_trace=collect_trace,
-            sanitize=sanitize,
-            code=code,
-        )
-        traces.append(machine.run())
-        if machine._san is not None:
-            races.extend(machine._san.races)
+    with span("sanitizer", "run") if sanitize else nullcontext():
+        for tb_id in range(launch.num_thread_blocks):
+            machine = FunctionalMachine(
+                program,
+                memory,
+                launch,
+                tb_id=tb_id,
+                collect_trace=collect_trace,
+                sanitize=sanitize,
+                code=code,
+            )
+            traces.append(machine.run())
+            if machine._san is not None:
+                races.extend(machine._san.races)
     return ExecutionResult(traces=traces, memory=memory, races=races)

@@ -63,6 +63,7 @@ from repro.fuzz.spec import SPEC_VERSION, FuzzSpec
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.telemetry.registry import TELEMETRY
+from repro.telemetry.spans import span
 from repro.workloads.base import Kernel
 
 #: Bumped whenever oracle checks change; invalidates cached verdicts.
@@ -328,7 +329,8 @@ def run_oracle(
             return report
 
     reference = kernel.image_factory()
-    ref_result = run_kernel(kernel.program, reference, kernel.launch)
+    with span("fuzz", "reference"):
+        ref_result = run_kernel(kernel.program, reference, kernel.launch)
     want = reference.snapshot()
     ref_stores = _count_opcode(ref_result.traces, Opcode.STG)
 
@@ -343,9 +345,10 @@ def run_oracle(
     if metamorphic and not report.failures:
         from repro.fuzz.metamorphic import check_timing_invariants
 
-        report.failures.extend(
-            check_timing_invariants(spec, kernel, ref_result.traces)
-        )
+        with span("fuzz", "metamorphic"):
+            report.failures.extend(
+                check_timing_invariants(spec, kernel, ref_result.traces)
+            )
 
     if store is not None and key is not None and report.passed:
         store.save(
@@ -386,9 +389,10 @@ def _check_one_variant(
         # run explicitly below: the oracle needs the raw verdict (on
         # the possibly-mutated program) for the static/dynamic
         # cross-check, not an exception mid-compile.
-        result = WaspCompiler(replace(options, validate=False)).compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
+        with span("fuzz", "compile"):
+            result = WaspCompiler(replace(options, validate=False)).compile(
+                kernel.program, num_warps=kernel.launch.num_warps
+            )
     except VerificationError as exc:
         report.failures.append(FuzzFailure(
             seed=spec.seed, spec=spec, check="static-verifier",
@@ -425,10 +429,11 @@ def _check_one_variant(
     report.transval_verdicts[name] = verdict
 
     def dynamic() -> list[tuple[str, str]]:
-        return _dynamic_outcome(
-            kernel, facts.program, result.num_stages, want, ref_stores,
-            inject,
-        )
+        with span("fuzz", "dynamic"):
+            return _dynamic_outcome(
+                kernel, facts.program, result.num_stages, want, ref_stores,
+                inject,
+            )
 
     if inject is not None:
         outcome = dynamic()  # each mutated variant runs

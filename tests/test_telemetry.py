@@ -334,6 +334,43 @@ def test_hb_spans_split_build_from_solve(clean_telemetry):
     assert {"hb-build", "hb-solve"} <= {e["name"] for e in events}
 
 
+def test_oracle_sanitizer_and_advise_spans():
+    """The fuzz oracle's phases, a sanitized run and an advise call
+    each get a span, and the trace shows them as their own rows."""
+    from repro.analysis.perfmodel.advisor import advise_kernel
+    from repro.experiments.configs import standard_configs
+    from repro.fexec.machine import run_kernel
+    from repro.fuzz.generator import build_kernel
+    from repro.fuzz.oracle import run_oracle
+    from repro.fuzz.spec import generate_spec
+    from repro.profiling.chrometrace import build_chrome_trace
+    from repro.telemetry.spans import SPANS
+    from repro.workloads import get_benchmark
+
+    SPANS.clear()
+    spec = generate_spec(3)
+    assert run_oracle(spec, use_verdict_cache=False).passed
+    kernel = build_kernel(spec)
+    run_kernel(kernel.program, kernel.image_factory(), kernel.launch,
+               collect_trace=False, sanitize=True)
+    config = next(c for c in standard_configs() if c.name == "WASP_GPU")
+    advise_kernel(get_benchmark("pointnet", 0.1).kernels[0], config,
+                  simulate=False)
+    grouped = SPANS.by_subsystem()
+    assert {"reference", "compile", "dynamic", "metamorphic"} <= {
+        s.name for s in grouped["fuzz"]
+    }
+    assert [s.name for s in grouped["sanitizer"]] == ["run"]
+    assert "advise" in {s.name for s in grouped["perfmodel"]}
+    rows = {
+        e["args"]["name"]
+        for e in build_chrome_trace([], spans=SPANS)["traceEvents"]
+        if e["name"] == "process_name"
+    }
+    assert {"toolchain: fuzz", "toolchain: sanitizer",
+            "toolchain: perfmodel"} <= rows
+
+
 # -- metrics document + Prometheus export -----------------------------------
 
 
