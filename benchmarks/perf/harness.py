@@ -25,6 +25,7 @@ and ``wall_s`` the median wall-clock seconds per pass.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import statistics
@@ -154,18 +155,28 @@ def measure_benchmark(
 def run_suite(
     benchmarks: list[SimBenchmark], repeats: int, scale: float
 ) -> dict[str, Any]:
-    """Measure every benchmark and assemble the JSON document."""
+    """Measure every benchmark and assemble the JSON document.
+
+    The suite's traces are built before this is called; they are
+    frozen out of the cyclic GC so that a full collection does not walk
+    them inside whichever repeat it happens to land in.
+    """
     results: dict[str, dict[str, Any]] = {}
     samples: list[float] = []
-    for bench in benchmarks:
-        record, calib_s = measure_benchmark(bench, repeats)
-        samples += calib_s
-        results[bench.name] = record
-        print(
-            f"  {bench.name:40s} {record['wall_s']:8.3f}s "
-            f"({record['normalized']:7.3f} cu, {record['passes']} "
-            f"pass(es) per repeat)"
-        )
+    gc.collect()
+    gc.freeze()
+    try:
+        for bench in benchmarks:
+            record, calib_s = measure_benchmark(bench, repeats)
+            samples += calib_s
+            results[bench.name] = record
+            print(
+                f"  {bench.name:40s} {record['wall_s']:8.3f}s "
+                f"({record['normalized']:7.3f} cu, {record['passes']} "
+                f"pass(es) per repeat)"
+            )
+    finally:
+        gc.unfreeze()
     return {
         "schema": SCHEMA_VERSION,
         "scale": scale,
