@@ -20,7 +20,8 @@ Two benchmark families, each on one SM core:
   matrix, simulated back-to-back; one pass spans many segments.
 
 A record's ``normalized`` is the median cu per pass over the repeats
-and ``wall_s`` the median wall-clock seconds per pass.
+and ``wall_s`` the median wall-clock seconds per pass; the repeats go
+round-robin over the suite (:func:`run_suite`).
 """
 
 from __future__ import annotations
@@ -123,33 +124,49 @@ def fig14_sweep_benchmark(core: str, scale: float) -> SimBenchmark:
     return SimBenchmark(f"fig14-sweep/{core}", core, work)
 
 
-def measure_benchmark(
-    bench: SimBenchmark, repeats: int
-) -> tuple[dict[str, Any], list[float]]:
-    """Size the pass count from a first pass, then measure ``repeats``
-    times.  Returns the record (costs per pass, medians over the
-    repeats) and the repeats' calibration samples."""
+@dataclass
+class _Measured:
+    """One benchmark's measurements: the sizing pass, then the repeats."""
+
+    bench: SimBenchmark
+    seen: dict[int, tuple[float, int]]
+    #: One repeat: the benchmark's items, replayed ``passes`` times.
+    items: list[Item]
+    passes: int
+    #: ``measure`` results, the sizing pass first.
+    runs: list[dict[str, Any]]
+
+    def record(self) -> dict[str, Any]:
+        """Costs per pass, medians over the repeats."""
+        repeats = self.runs[1:]
+        failures = sorted({f for run in self.runs for f in run["failures"]})
+        record: dict[str, Any] = {
+            "normalized": statistics.median(r["work_cu"] for r in repeats)
+            / self.passes,
+            "wall_s": statistics.median(r["wall_s"] for r in repeats)
+            / self.passes,
+            "passes": self.passes,
+            "cycles": sum(cycles for cycles, _ in self.seen.values()),
+            "issued": sum(issued for _, issued in self.seen.values()),
+            "sims": len(self.seen),
+        }
+        if failures:
+            record["failures"] = failures
+        if record["cycles"]:
+            record["cycles_per_sec"] = record["cycles"] / record["wall_s"]
+        return record
+
+
+def _sized(bench: SimBenchmark) -> _Measured:
+    """Measure one pass of ``bench`` and size a repeat from it: enough
+    passes to span ``MIN_SEGMENTS`` calibration segments."""
     seen: dict[int, tuple[float, int]] = {}
     items = bench.items(seen)
     first = measure(items)
     passes = math.ceil(
         MIN_SEGMENTS * SEGMENT_CPU_S / max(first["work_cpu_s"], 1e-3)
     )
-    runs = [measure(items * passes) for _ in range(max(1, repeats))]
-    failures = sorted({f for run in [first, *runs] for f in run["failures"]})
-    record: dict[str, Any] = {
-        "normalized": statistics.median(r["work_cu"] for r in runs) / passes,
-        "wall_s": statistics.median(r["wall_s"] for r in runs) / passes,
-        "passes": passes,
-        "cycles": sum(cycles for cycles, _ in seen.values()),
-        "issued": sum(issued for _, issued in seen.values()),
-        "sims": len(seen),
-    }
-    if failures:
-        record["failures"] = failures
-    if record["cycles"]:
-        record["cycles_per_sec"] = record["cycles"] / record["wall_s"]
-    return record, [s for r in runs for s in r["calib_s"]]
+    return _Measured(bench, seen, items * passes, passes, [first])
 
 
 def run_suite(
@@ -157,26 +174,34 @@ def run_suite(
 ) -> dict[str, Any]:
     """Measure every benchmark and assemble the JSON document.
 
-    The suite's traces are built before this is called; they are
-    frozen out of the cyclic GC so that a full collection does not walk
-    them inside whichever repeat it happens to land in.
+    The repeats go round-robin over the suite, so one benchmark's
+    repeats are seconds apart and a burst of host load slows at most
+    one of them, which the median drops.  The suite's traces are built
+    before this is called; they are frozen out of the cyclic GC so
+    that a full collection does not walk them inside whichever repeat
+    it happens to land in.
     """
-    results: dict[str, dict[str, Any]] = {}
-    samples: list[float] = []
     gc.collect()
     gc.freeze()
     try:
-        for bench in benchmarks:
-            record, calib_s = measure_benchmark(bench, repeats)
-            samples += calib_s
-            results[bench.name] = record
-            print(
-                f"  {bench.name:40s} {record['wall_s']:8.3f}s "
-                f"({record['normalized']:7.3f} cu, {record['passes']} "
-                f"pass(es) per repeat)"
-            )
+        suite = [_sized(bench) for bench in benchmarks]
+        for _ in range(max(1, repeats)):
+            for entry in suite:
+                entry.runs.append(measure(entry.items))
     finally:
         gc.unfreeze()
+    results: dict[str, dict[str, Any]] = {}
+    for entry in suite:
+        results[entry.bench.name] = record = entry.record()
+        print(
+            f"  {entry.bench.name:40s} {record['wall_s']:8.3f}s "
+            f"({record['normalized']:7.3f} cu, {record['passes']} "
+            f"pass(es) per repeat)"
+        )
+    samples = [
+        sample for entry in suite for run in entry.runs[1:]
+        for sample in run["calib_s"]
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "scale": scale,
