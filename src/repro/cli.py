@@ -418,23 +418,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perf-trajectory dashboard: read every committed "
                     "BENCH_*.json (plus an optional freshly measured "
                     "run) and render a per-benchmark regression table "
-                    "on calibration-normalized wall-clock.",
+                    "on CPU cost in calibration units.",
     )
     sub.set_defaults(run=run_bench_report)
     sub.add_argument(
         "--dir", default=".", metavar="DIR",
         help="directory holding the BENCH_*.json files (default: .)",
     )
-    _path(sub, "--current", "a freshly measured perf-harness document to "
-          "diff against the committed baseline (write one with "
-          "'python -m benchmarks.perf.run --output PATH')")
+    _path(sub, "--current", "a freshly measured perf-harness document "
+          "(CPU cost in calibration units) to diff against the committed "
+          "baseline (write one with 'python -m benchmarks.perf.run "
+          "--output PATH')")
     sub.add_argument(
         "--baseline", default="BENCH_core", metavar="STEM",
         help="committed file to diff against (default: BENCH_core)",
     )
     sub.add_argument(
         "--tolerance", type=float, default=0.2,
-        help="normalized regression threshold (default 0.2 = 20%%)",
+        help="allowed regression of a benchmark's CPU cost in "
+             "calibration units (default 0.2 = 20%%)",
     )
     _path(sub, "--json-out", "write the repro-bench-report-v1 document as "
           "JSON")

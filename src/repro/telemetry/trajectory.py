@@ -3,8 +3,9 @@
 Reads every committed ``BENCH_*.json`` (the perf-harness documents
 under version control, e.g. ``BENCH_core.json``) plus, optionally, a
 freshly measured run, and renders a per-benchmark regression table on
-calibration-normalized wall-clock.  This is the human-facing view of
-the same data CI's perf-gate checks mechanically.
+CPU cost in calibration units (``benchmarks.toolchain.measure``).  This
+is the human-facing view of the same data CI's perf-gate checks
+mechanically.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def render_bench_report(report: dict[str, Any]) -> str:
     lines = [
         format_table(
             headers, rows,
-            title="Perf trajectory (calibration-normalized wall)",
+            title="Perf trajectory (CPU cost, calibration units)",
         )
     ]
     lines.append(

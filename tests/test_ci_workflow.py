@@ -3,9 +3,10 @@
 A ``run:`` step without ``shell:`` runs under ``bash -e``, which only
 sees the last command of a pipeline, so ``repro lint ... | tee out``
 passes whatever ``repro lint`` returns.  Every such step must set
-``pipefail``.  The one exception is the perf gate: it fails the
-parent commit too in repeated runs (ROADMAP item 9), so arming it
-waits for the single calibration method that item asks for.
+``pipefail``.  The one exception is the perf gate: its aggregate 2%
+bound fails unchanged code too in repeated runs, also under the single
+calibration method (ROADMAP item 9), so it stays unarmed until that
+bound holds.
 
 The workflow is read line by line (no YAML dependency): each step's
 ``run:`` value is the inline command or the indented block under it.
@@ -20,7 +21,7 @@ CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 
 #: Steps allowed to pipe into ``tee`` without ``pipefail``.
 UNARMED = {
-    # ROADMAP item 9: the perf gate fails the parent in repeated runs.
+    # ROADMAP item 9: the perf gate fails unchanged code in repeated runs.
     "Measure and gate against the committed baseline",
 }
 

@@ -78,9 +78,12 @@ def test_normalized_is_the_work_cu_that_measure_returned(monkeypatch):
     )
     assert record["cycles"] == 300.0 and record["sims"] == 2
     assert "failures" not in record
+    _gate_keys(doc)
 
 
 def _gate_keys(doc):
+    """The keys ``check_against_baseline``, ``check_telemetry_overhead``
+    and ``repro bench report`` read."""
     assert isinstance(doc["schema"], int)
     assert doc["calibration_s"] > 0
     assert doc["benchmarks"]
