@@ -99,10 +99,7 @@ def _int64_lanes(v: Vec) -> Vec:
     """``v`` truncated to int64 the same way on every host: NaN is 0
     and a lane beyond int64 (±inf included) saturates at its bound,
     where a plain cast is undefined."""
-    inside = np.abs(v) < _TWO_63
-    if inside.all():
-        return v.astype(np.int64)
-    ints = np.where(inside, v, 0.0).astype(np.int64)
+    ints = np.where(np.abs(v) < _TWO_63, v, 0.0).astype(np.int64)
     ints[v >= _TWO_63] = _INT64.max
     ints[v <= -_TWO_63] = _INT64.min
     return ints
