@@ -75,9 +75,9 @@ def main(argv: list[str] | None = None) -> int:
                              "aggregate normalized CPU cost (telemetry "
                              "disabled) exceeds the baseline by this "
                              "fraction (ISSUE 7 gate: 0.02)")
-    parser.add_argument("--repeats", type=int, default=5,
+    parser.add_argument("--repeats", type=int, default=3,
                         help="measured repeats per benchmark, round-robin "
-                             "over the suite (median; default 5)")
+                             "over the suite (median; default 3)")
     parser.add_argument("--no-sweep", action="store_true",
                         help="skip the fig14 sweep benchmarks")
     args = parser.parse_args(argv)
