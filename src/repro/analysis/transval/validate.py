@@ -34,7 +34,9 @@ program) pair is certified once:
   the SHA-256 of the full serialized program — name, thread-block
   spec, SMEM layout, every instruction field and attr — with the
   compiler's uid-derived ``key`` attrs renumbered by first appearance.
-  The source's digest is the slot's, taken once per compile; the
+  The source's digest is the slot's, under the slot's source rule
+  (the source object last selected keeps its digest only while its
+  snapshot is unchanged, so an in-place edit is digested again); the
   compiled side's is ``facts.program_digest``.  A mutated or injected
   program has different content and so gets its own certificate.
 * **Why reuse is exact.** A validation reads only the two programs'

@@ -25,7 +25,7 @@ from repro.core.compiler.buffering import (
 )
 from repro.core.compiler.extraction import ExtractionPlan, plan_extraction
 from repro.core.compiler.finalize import finalize_pipeline
-from repro.core.compiler.memo import SOURCE_SLOT, CompileKeys
+from repro.core.compiler.memo import SOURCE_SLOT, CompileKeys, PrePass
 from repro.core.compiler.pdg import build_pdg
 from repro.core.compiler.stagesplit import (
     StageProgram,
@@ -199,11 +199,7 @@ class WaspCompiler:
             return self._compile(program, num_warps)
 
     def _compile(self, program: Program, num_warps: int) -> CompileResult:
-        program.validate()
-        # Imported lazily: the serializer imports this package.
-        from repro.isa.serialize import program_digest
-
-        SOURCE_SLOT.select(program, program_digest(program))
+        SOURCE_SLOT.select(program)
         opts = self.options
         keys = CompileKeys(opts, num_warps)
         stored = self._passes(program, num_warps, keys)
@@ -238,36 +234,19 @@ class WaspCompiler:
         answered from the slot at the first lookup point that hits; no
         post-pass."""
         opts = self.options
-        work = program.clone()
-        work.name = program.name
-
-        fused = 0
-        double_buffered: list[str] = []
-        pdg = None
-        if opts.enable_tile:
-            with span("compiler", "buffering"):
-                pdg = build_pdg(work)
-                fused = fuse_ldgsts(work, pdg)
-                # Sync-pair tagging only writes attrs: no new version.
-                tag_tile_sync_pairs(work)
-                if opts.double_buffering:
-                    double_buffered = apply_circular_buffering(
-                        work,
-                        opts.smem_capacity_words,
-                        depth=opts.pipeline_depth,
-                    )
-            if fused or double_buffered:
-                pdg = None  # the rewritten program is a new version
-        if not double_buffered:
+        prepass = self._prepass(program)
+        if not prepass.double_buffered:
             keys.drop("pipeline_depth")
         stored = keys.lookup("options")
         if stored is not None:
             return stored
 
         original_registers = program.register_count()
-        if pdg is None:
+        work = prepass.work
+        if prepass.pdg is None:
             with span("compiler", "build_pdg"):
-                pdg = build_pdg(work)
+                prepass.pdg = build_pdg(work)
+        pdg = prepass.pdg
         with span("compiler", "plan_extraction"):
             plan = plan_extraction(
                 pdg,
@@ -292,7 +271,6 @@ class WaspCompiler:
                 reason="no extractable pipeline stages",
             ))
 
-        tag_keys(work)
         with span("compiler", "stage_split"):
             stages = build_stage_programs(work, plan)
         offload = None
@@ -338,12 +316,52 @@ class WaspCompiler:
             num_stages=len(kept),
             stage_registers=list(facts.program.tb_spec.stage_registers),
             original_registers=original_registers,
-            fused_ldgsts=fused,
-            double_buffered=double_buffered,
+            fused_ldgsts=prepass.fused,
+            double_buffered=prepass.double_buffered,
             offload=offload,
             dropped_stages=dropped,
             facts=facts,
         ))
+
+    def _prepass(self, program: Program) -> PrePass:
+        """Clone, LDGSTS fusion, sync tagging, circular buffering and
+        ``key`` stamping, answered from the slot when an earlier compile
+        of the source ran them under the same pre-pass key."""
+        opts = self.options
+        # Every option the pre-passes read (the memo module docstring).
+        key = (
+            opts.enable_tile,
+            opts.double_buffering,
+            opts.pipeline_depth,
+            opts.smem_capacity_words,
+        )
+        stored = SOURCE_SLOT.prepass(key)
+        if stored is not None:
+            return stored
+        work = program.clone()
+        fused = 0
+        double_buffered: list[str] = []
+        pdg = None
+        if opts.enable_tile:
+            with span("compiler", "buffering"):
+                pdg = build_pdg(work)
+                fused = fuse_ldgsts(work, pdg)
+                # Sync-pair tagging only writes attrs: no new version.
+                tag_tile_sync_pairs(work)
+                if opts.double_buffering:
+                    double_buffered = apply_circular_buffering(
+                        work,
+                        opts.smem_capacity_words,
+                        depth=opts.pipeline_depth,
+                    )
+            if fused or double_buffered:
+                pdg = None  # the rewritten program is a new version
+        # Key stamping also only writes attrs, and is the last write:
+        # from here on the working program is shared and read-only.
+        tag_keys(work)
+        stored = PrePass(work, pdg, fused, double_buffered)
+        SOURCE_SLOT.prepasses[key] = stored
+        return stored
 
 
 def drop_empty_stages(

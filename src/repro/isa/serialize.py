@@ -265,3 +265,55 @@ def program_digest(program: Program) -> str:
         canonical_program_doc(program), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def program_snapshot(program: Program) -> tuple:
+    """A value copy of every field :func:`program_digest` covers.
+
+    Two snapshots of one program compare equal only if no such field
+    changed in between, so an equal snapshot means an unchanged digest,
+    at a small fraction of the digest's cost.  Operands are immutable
+    and compare by value, except that an immediate also records its
+    value's type (``2 == 2.0``, but the digest tells them apart).
+    ``attrs`` are free-form, so each of their values records its type
+    and containers are copied.  The snapshot is stricter than the
+    digest where that is cheaper (``key`` attrs are not renumbered,
+    dict order counts), which only costs a re-hash.
+    """
+    return (
+        program.name,
+        program.smem_words,
+        program.num_registers,
+        _frozen(program.smem_buffers),
+        encode_tb_spec(program.tb_spec),
+        tuple(
+            (block.label, tuple(
+                (
+                    instr.opcode,
+                    instr.dst,
+                    tuple([
+                        (src.value.__class__, src)
+                        if src.__class__ is Immediate else src
+                        for src in instr.srcs
+                    ]),
+                    instr.guard,
+                    instr.guard_negated,
+                    instr.target,
+                    instr.barrier_id,
+                    instr.category,
+                    _frozen(instr.attrs) if instr.attrs else None,
+                )
+                for instr in block.instructions
+            ))
+            for block in program.blocks
+        ),
+    )
+
+
+def _frozen(value: Any) -> Any:
+    """``value`` as nested tuples, each leaf paired with its type."""
+    if isinstance(value, dict):
+        return (dict, tuple((k, _frozen(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (list, tuple(_frozen(v) for v in value))
+    return (value.__class__, value)

@@ -185,6 +185,13 @@ def main(argv: list[str] | None = None) -> int:
           "earlier compile (" + ", ".join(
               f"{at} {count}" for at, count in reuses.items()
           ) + ")")
+    prepasses, digests_taken = (
+        int(TELEMETRY.counter(name).value)
+        for name in ("repro_compile_prepass_reuses_total",
+                     "repro_compile_source_digests_total")
+    )
+    print(f"pre-pass reuses: {prepasses} compiles skipped the pre-passes; "
+          f"{digests_taken} source digest(s) taken")
     return 1 if bad else 0
 
 

@@ -1,13 +1,16 @@
 """The compiler's per-source slot answers exactly what a fresh compile would.
 
 A compile that coincides with an earlier compile of the same source
-(the same compile key at some lookup point, or the same finalized
-program) is answered from the slot (:mod:`repro.core.compiler.memo`).
-These tests compare every slot answer with a compile made on an empty
-slot, pin the fact each option-dropping rule of the compile key rests
-on (``pipeline_depth``, ``enable_tma_offload``, ``max_stages``,
-``enable_streaming``), and check the read-only contract: no ``src/``
-path rewrites a shared compiled program in place.
+(the same pre-pass key, the same compile key at some lookup point, or
+the same finalized program) is answered from the slot
+(:mod:`repro.core.compiler.memo`).  These tests compare every slot
+answer with a compile made on an empty slot, pin the fact each
+option-dropping rule of the compile key rests on (``pipeline_depth``,
+``enable_tma_offload``, ``max_stages``, ``enable_streaming``), check
+the source rule (an in-place edit of any digested field is digested
+and validated again, an untouched source is not), and check the
+read-only contract: no ``src/`` path rewrites a stored pre-pass
+program, its dependence graph or a shared compiled program in place.
 """
 
 from __future__ import annotations
@@ -33,13 +36,18 @@ from repro.core.compiler.extraction import plan_extraction
 from repro.core.compiler.pdg import build_pdg
 from repro.core.compiler.stagesplit import build_stage_programs, tag_keys
 from repro.core.compiler.tma_offload import offload_pipeline
-from repro.errors import ReproError
+from repro.core.specs import ThreadBlockSpec
+from repro.errors import ReproError, ValidationError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.oracle import OPTION_SETS, run_oracle
 from repro.fuzz.spec import generate_spec
+from repro.isa.opcodes import InstrCategory, Opcode
+from repro.isa.operands import Immediate, Predicate, Register
+from repro.isa.program import BasicBlock
 from repro.isa.serialize import program_digest
 from repro.sweeps import registry_kernels
+from tests.conftest import build_tile_program
 from tests.test_compile_identity import result_text
 
 DEPTHS = (2, 4, 8)
@@ -363,3 +371,207 @@ def test_shared_programs_are_never_rewritten(monkeypatch, capsys):
     SOURCE_SLOT.clear()
     assert checked[0] > 0
     assert rewritten == []
+
+
+# -- the source rule ---------------------------------------------------------
+
+
+def _instr(program, opcode):
+    """The first instruction of ``program`` with ``opcode``."""
+    return next(i for i in program.instructions() if i.opcode is opcode)
+
+
+def _set_tb_spec(program):
+    program.tb_spec = ThreadBlockSpec(
+        num_stages=1, warps_per_stage=[[0, 1]], stage_registers=[8]
+    )
+
+
+def _add_spare_block(program):
+    spare = BasicBlock("spare")
+    spare.append(_instr(program, Opcode.EXIT).clone())
+    program.blocks.append(spare)
+
+
+def _swap_last_blocks(program):
+    program.blocks[-2:] = program.blocks[-2:][::-1]
+
+
+def _replace_src(opcode, pos, operand):
+    def edit(program):
+        _instr(program, opcode).srcs[pos] = operand
+    return edit
+
+
+def _set(opcode, field, value):
+    def edit(program):
+        setattr(_instr(program, opcode), field, value)
+    return edit
+
+
+def _set_attr(opcode, name, value):
+    def edit(program):
+        _instr(program, opcode).attrs[name] = value
+    return edit
+
+
+#: name -> (set-up before the first compile or None, in-place edit).
+#: Every field ``program_digest`` covers, each edited so that the
+#: program stays valid and its digest changes.
+SOURCE_EDITS = {
+    "name": (None, lambda p: setattr(p, "name", p.name + "_v2")),
+    "smem_words": (None, lambda p: setattr(p, "smem_words", 33)),
+    "num_registers": (None, lambda p: setattr(p, "num_registers", 40)),
+    "smem_buffers": (None, lambda p: p.smem_buffers.update(spare=(64, 8))),
+    "tb_spec": (
+        _set_tb_spec, lambda p: p.tb_spec.warps_per_stage[0].append(2)
+    ),
+    "block label": (None, lambda p: setattr(p.blocks[-1], "label", "tail")),
+    "block order": (_add_spare_block, _swap_last_blocks),
+    "opcode": (None, _set(Opcode.FADD, "opcode", Opcode.FMUL)),
+    "dst": (None, _set(Opcode.FADD, "dst", Register(9))),
+    "srcs": (None, _replace_src(Opcode.IMAD, 1, Register(9))),
+    "immediate value": (None, _replace_src(Opcode.ISETP, 1, Immediate(5))),
+    "immediate type": (None, _replace_src(Opcode.ISETP, 1, Immediate(4.0))),
+    "guard": (None, _set(Opcode.FADD, "guard", Predicate(0))),
+    "guard_negated": (None, _set(Opcode.BRA, "guard_negated", True)),
+    "target": (None, _set(Opcode.BRA, "target", "epilog")),
+    "barrier_id": (None, _set(Opcode.BAR_SYNC, "barrier_id", "tb2")),
+    "category": (
+        None, _set(Opcode.FADD, "category", InstrCategory.ADDRGEN)
+    ),
+    "attrs": (None, _set_attr(Opcode.FADD, "note", "x")),
+    "attrs nested": (
+        _set_attr(Opcode.FADD, "roles", [["pre", "a"]]),
+        lambda p: _instr(p, Opcode.FADD).attrs["roles"][0].append("b"),
+    ),
+    "attrs value type": (
+        _set_attr(Opcode.FADD, "n", 1), _set_attr(Opcode.FADD, "n", True)
+    ),
+}
+
+
+def _tile_source(setup=None):
+    program = build_tile_program(4, 32, 0, 512, 2)
+    if setup is not None:
+        setup(program)
+    return program
+
+
+def _compile_source(program):
+    return WaspCompiler(
+        WaspCompilerOptions(verify=False, validate=False)
+    ).compile(program, 2)
+
+
+def _source_digests(telemetry):
+    return telemetry.counter("repro_compile_source_digests_total").value
+
+
+@pytest.mark.parametrize("field", SOURCE_EDITS)
+def test_a_source_edited_in_place_is_digested_again(field, clean_telemetry):
+    setup, edit = SOURCE_EDITS[field]
+    program = _tile_source(setup)
+    _compile_source(program)
+    _compile_source(program)
+    assert _source_digests(clean_telemetry) == 1  # untouched: no re-hash
+    before = SOURCE_SLOT.source_digest
+    edit(program)
+    after = _compile_source(program)
+    assert _source_digests(clean_telemetry) == 2
+    assert SOURCE_SLOT.source_digest == program_digest(program) != before
+    clear_source_slot()
+    assert result_text(after) == result_text(_compile_source(program))
+
+
+@pytest.mark.parametrize("edit", [
+    _set(Opcode.BRA, "target", "nowhere"),
+    lambda p: setattr(p.blocks[1], "label", "renamed"),
+    lambda p: p.blocks[-1].instructions.pop(),
+], ids=["dangling target", "renamed loop head", "no exit"])
+def test_a_source_edited_in_place_is_validated_again(edit):
+    program = _tile_source()
+    _compile_source(program)
+    edit(program)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            _compile_source(program)
+
+
+def test_translation_validation_sees_an_in_place_source_edit():
+    """A certificate is not reused for a source edited since: raising an
+    immediate the compiled program still computes with breaks the
+    equivalence, as validation on an empty slot finds."""
+    from repro.analysis.lint import validate_kernel
+    from repro.analysis.transval import validate_programs
+    from repro.workloads.registry import get_benchmark
+
+    kernel = get_benchmark("bert", 0.25).kernel("layernorm")
+    source = kernel.program.clone()  # the registry's kernels are shared
+    options = dict(standard_option_sets())["full"]
+    result, tv = validate_kernel(source, kernel.launch.num_warps, options)
+    assert tv.verdict == "equivalent"
+    imul = _instr(source, Opcode.IMUL)
+    imul.srcs[1] = Immediate(imul.srcs[1].value + 7)
+    edited = validate_programs(source, result.program, facts=result.facts)
+    assert not edited.reused
+    clear_source_slot()
+    fresh = validate_programs(source, result.program, facts=result.facts)
+    assert edited.verdict == fresh.verdict == "not-equivalent"
+    assert edited.to_json() == fresh.to_json()
+
+
+# -- the pre-pass store's read-only contract ----------------------------------
+
+
+def _corpus_cells():
+    cells = []
+    for entry in load_corpus():
+        kernel = build_kernel(entry.spec)
+        cells.extend(
+            (kernel.program, kernel.launch.num_warps, options)
+            for _name, options in OPTION_SETS
+        )
+    return cells
+
+
+def _prepass_state(prepass):
+    pdg = prepass.pdg
+    edges = None if pdg is None else (
+        sorted((uid, sorted(preds)) for uid, preds in pdg.data_preds.items()),
+        sorted((uid, sorted(succs)) for uid, succs in pdg.data_succs.items()),
+        sorted(pdg.block_of.items()),
+        sorted(pdg.instr_by_uid),
+    )
+    return program_digest(prepass.work), edges
+
+
+def test_stored_prepasses_are_never_rewritten(clean_telemetry, monkeypatch):
+    """Every stored pre-pass program keeps the canonical digest, and its
+    dependence graph the edges, it had when stored, through the rest of
+    its compile and every later compile of the source: the certify
+    subset, the corpus and fuzz seeds 0-19."""
+    stored = {}  # id -> [entry (held alive), digest, edges]
+    prepass = WaspCompiler._prepass
+
+    def recording(compiler, program):
+        entry = prepass(compiler, program)
+        stored.setdefault(id(entry), [entry, *_prepass_state(entry)])
+        return entry
+
+    monkeypatch.setattr(WaspCompiler, "_prepass", recording)
+    for cells in (_certify_cells, _corpus_cells, _fuzz_cells):
+        for program, num_warps, options in cells():
+            WaspCompiler(
+                replace(options, verify=False, validate=False)
+            ).compile(program, num_warps)
+            for entry in SOURCE_SLOT.prepasses.values():
+                record = stored[id(entry)]
+                digest, edges = _prepass_state(entry)
+                assert digest == record[1], program.name
+                if record[2] is None:  # built once, after storing
+                    record[2] = edges
+                assert edges == record[2], program.name
+    assert clean_telemetry.counter(
+        "repro_compile_prepass_reuses_total"
+    ).value > 0
