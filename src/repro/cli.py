@@ -897,10 +897,13 @@ def _write_representative_trace(args: argparse.Namespace) -> None:
     Sweeps time dozens of kernel×config pairs unprofiled; a full trace
     of all of them would be unreadable, so this profiles the sweep's
     first benchmark (default: pointnet, the paper's Figure 3 subject)
-    under WASP_GPU at the same scale and writes that.
+    under WASP_GPU at the same scale and writes that, with the
+    process's toolchain spans as their own rows, as ``repro profile``
+    does.
     """
     from repro.experiments.runner import profile_kernel
     from repro.profiling.chrometrace import write_chrome_trace
+    from repro.telemetry.spans import SPANS
     from repro.workloads import get_benchmark
 
     name = args.benchmarks[0] if args.benchmarks else "pointnet"
@@ -914,6 +917,7 @@ def _write_representative_trace(args: argparse.Namespace) -> None:
         args.trace_out, sections,
         metadata={"benchmark": bench.name, "config": config.name,
                   "scale": args.scale},
+        spans=SPANS,
     )
     print(
         f"[wrote {len(trace['traceEvents'])} trace events for "

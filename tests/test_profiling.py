@@ -203,6 +203,27 @@ def test_chrome_trace_valid_and_loads_as_json(tmp_path):
     assert any("warp" in e["args"]["name"] for e in names)
 
 
+def test_artifact_trace_out_carries_toolchain_rows(tmp_path, capsys):
+    """``--trace-out`` on an artifact writes the toolchain spans as
+    their own rows, and the written file validates."""
+    from repro.cli import main
+    from repro.profiling.chrometrace import main as check_trace
+
+    path = tmp_path / "fig14.json"
+    assert main([
+        "fig14", "--scale", "0.1", "--benchmarks", "pointnet",
+        "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(path),
+    ]) == 0
+    rows = {
+        e["args"]["name"] for e in json.loads(path.read_text())["traceEvents"]
+        if e["name"] == "process_name"
+    }
+    assert "toolchain: compiler" in rows
+    capsys.readouterr()
+    assert check_trace([str(path)]) == 0
+    assert capsys.readouterr().out.startswith("OK:")
+
+
 def test_chrome_trace_multi_section_pids_disjoint():
     a = _profiled(baseline_config())
     b = _profiled(wasp_gpu_config())
