@@ -211,6 +211,9 @@ class DataflowWalk:
             else:
                 self._step_warp(actor, t)
         self.cycles = max(self.max_t, self.memory.drain_time())
+        # The barrier files' wake hooks point back at this walk.
+        for tb in self._all_tbs:
+            tb.barriers.release()
         return self.cycles
 
     def channel_stats(self) -> dict[int, "ChannelTraffic"]:

@@ -162,6 +162,18 @@ class BarrierFile:
             self._sync[barrier_id] = barrier
         return barrier
 
+    def release(self) -> None:
+        """Drop every wake hook, once nothing will wait here again.
+
+        A hook is a bound method of the SM core or the dataflow walk,
+        which reach this file through their thread blocks, so the hooks
+        close reference cycles; releasing them lets reference counting
+        free the owner as soon as its caller drops it.
+        """
+        self._wake_hook = None
+        for barrier in (*self._aw.values(), *self._sync.values()):
+            barrier.wake_hook = None
+
     def arrival_counts(self) -> dict[str, int]:
         """Arrivals per arrive/wait barrier, in creation order."""
         return {bid: len(b.arrival_times) for bid, b in self._aw.items()}

@@ -17,7 +17,7 @@ reproducible, which the edge-case tests assert directly.)
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any
 
 from repro.fexec.barriers import INFINITY
@@ -31,19 +31,20 @@ __all__ = ["WakeupHeap"]
 class WakeupHeap:
     """Min-heap of sleeping warps keyed by wake time, tie-broken by key.
 
-    Keeps raw telemetry tallies (pushes, pops, peak depth) as plain
-    integer adds; the event core harvests them into the metrics
-    registry at end of run (DESIGN.md §7) so the counters cost a few
-    attribute adds even when telemetry is disabled.
+    Keeps raw telemetry tallies (pops, peak depth) that the event core
+    harvests into the metrics registry at end of run (DESIGN.md §7).
+    A push is a bare ``heappush``: pops happen only here, so the push
+    count is the pop count plus the depth, and since the depth only
+    grows between pops, the peak is the largest depth seen when a pop
+    begins or when the count is read.
     """
 
-    __slots__ = ("_items", "pushes", "pops", "max_depth")
+    __slots__ = ("_items", "pops", "_max_depth")
 
     def __init__(self) -> None:
         self._items: list[tuple[float, int, Any]] = []
-        self.pushes = 0
         self.pops = 0
-        self.max_depth = 0
+        self._max_depth = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -51,11 +52,16 @@ class WakeupHeap:
     def __bool__(self) -> bool:
         return bool(self._items)
 
+    @property
+    def pushes(self) -> int:
+        return self.pops + len(self._items)
+
+    @property
+    def max_depth(self) -> int:
+        return max(self._max_depth, len(self._items))
+
     def push(self, time: float, warp: "_WarpRun") -> None:
-        heapq.heappush(self._items, (time, warp.key, warp))
-        self.pushes += 1
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
+        heappush(self._items, (time, warp.key, warp))
 
     def next_time(self) -> float:
         """Earliest wake time in the heap (inf when empty)."""
@@ -65,8 +71,9 @@ class WakeupHeap:
 
     def pop(self) -> "_WarpRun":
         """Remove and return the warp with the earliest wake time."""
+        self._max_depth = self.max_depth
         self.pops += 1
-        return heapq.heappop(self._items)[2]
+        return heappop(self._items)[2]
 
     def pop_due(self, now: float) -> list["_WarpRun"]:
         """Remove and return every warp whose wake time is <= ``now``.
@@ -75,8 +82,10 @@ class WakeupHeap:
         insertion order.
         """
         items = self._items
+        if len(items) > self._max_depth:
+            self._max_depth = len(items)
         due: list[Any] = []
         while items and items[0][0] <= now:
-            due.append(heapq.heappop(items)[2])
+            due.append(heappop(items)[2])
         self.pops += len(due)
         return due

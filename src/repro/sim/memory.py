@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.fexec.barriers import INFINITY
 from repro.sim.caches import BandwidthServer, SectorCache
 from repro.sim.config import GPUConfig
 
@@ -50,37 +51,49 @@ class MemorySystem:
 
     def access_sector(self, now: float, sector: int) -> float:
         """One 32-byte sector request; returns data-ready time."""
-        cfg = self.config
-        self.stats.total_sectors += 1
-        prof = self.profiler
-        if self.l1.access(sector):
-            self.stats.l1_hits += 1
-            if prof is not None:
-                prof.record_mem(now, 0)
-            return now + cfg.l1_latency
-        service = self.l2_bw.submit(now)
-        if self.l2.access(sector):
-            self.stats.l2_hits += 1
-            if prof is not None:
-                prof.record_mem(service, 1)
-            return service + cfg.l2_latency
-        self.stats.dram_accesses += 1
-        dram_done = self.dram_bw.submit(service)
-        if prof is not None:
-            prof.record_mem(dram_done, 2)
-        return dram_done + cfg.dram_latency
+        return self.access_global(now, (sector,))
 
     def access_global(self, now: float, sectors: tuple[int, ...]) -> float:
-        """A warp-wide global access; ready when the last sector lands."""
+        """A warp-wide global access; ready when the last sector lands.
+
+        The sectors are served in order in one loop, each by L1, else
+        the L2 slice, else DRAM; the hit counters are added at the end.
+        """
+        cfg = self.config
         if not sectors:
-            return now + self.config.l1_latency
-        access = self.access_sector
-        sector_times = iter(sectors)
-        ready = access(now, next(sector_times))
-        for sector in sector_times:
-            landed = access(now, sector)
+            return now + cfg.l1_latency
+        prof = self.profiler
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        l2_submit = self.l2_bw.submit
+        l1_hits = l2_hits = dram = 0
+        ready = -INFINITY
+        for sector in sectors:
+            if l1_access(sector):
+                l1_hits += 1
+                if prof is not None:
+                    prof.record_mem(now, 0)
+                landed = now + cfg.l1_latency
+            else:
+                service = l2_submit(now)
+                if l2_access(sector):
+                    l2_hits += 1
+                    if prof is not None:
+                        prof.record_mem(service, 1)
+                    landed = service + cfg.l2_latency
+                else:
+                    dram += 1
+                    dram_done = self.dram_bw.submit(service)
+                    if prof is not None:
+                        prof.record_mem(dram_done, 2)
+                    landed = dram_done + cfg.dram_latency
             if landed > ready:
                 ready = landed
+        stats = self.stats
+        stats.total_sectors += len(sectors)
+        stats.l1_hits += l1_hits
+        stats.l2_hits += l2_hits
+        stats.dram_accesses += dram
         return ready
 
     def access_smem(self, now: float, words: int) -> float:

@@ -117,23 +117,34 @@ class OpDecoder:
         }
         self._int_latency = config.int_latency
         self._ops: dict[int, Op] = {}
+        self._heads: dict[tuple[int, int, int], tuple] = {}
 
     def ops(self, records: list[DynamicInstr]) -> list[Op]:
         """``records``' op tuples, decoding each new record once."""
-        known = self._ops.get
-        decode = self._decode
-        return [known(id(r)) or decode(r) for r in records]
+        ops = list(map(self._ops.get, map(id, records)))
+        if None in ops:
+            decode = self._decode
+            known = self._ops.get
+            ops = [op or known(id(r)) or decode(r)
+                   for op, r in zip(ops, records)]
+        return ops
 
     def _decode(self, record: DynamicInstr) -> Op:
-        op = (
-            _KINDS.get(record.opcode, OP_ALU),
-            self._latencies.get(record.unit, self._int_latency),
-            _CATEGORY_INDEX[record.category],
-            record.unit in _TENSOR_FP_UNITS,
-            record.src_regs,
-            record.queue_pop,
-            record.queue_push,
-            record,
+        # The first four fields depend only on the record's opcode,
+        # unit and category: memoized on those members' identities,
+        # since hashing an Enum member runs Python code.
+        opcode, unit, category = record.opcode, record.unit, record.category
+        key = (id(opcode), id(unit), id(category))
+        head = self._heads.get(key)
+        if head is None:
+            head = self._heads[key] = (
+                _KINDS.get(opcode, OP_ALU),
+                self._latencies.get(unit, self._int_latency),
+                _CATEGORY_INDEX[category],
+                unit in _TENSOR_FP_UNITS,
+            )
+        op = head + (
+            record.src_regs, record.queue_pop, record.queue_push, record,
         )
         self._ops[id(record)] = op
         return op
@@ -154,6 +165,19 @@ class _ResidentTB:
 
     def done(self) -> bool:
         return all(w.done for w in self.warps)
+
+    def release(self) -> None:
+        """Break the block's reference cycles once it has retired.
+
+        ``warps`` and each warp's ``tb`` point at each other, and the
+        event core's wake hooks on the block's queues and barriers are
+        bound methods of the simulator, so without this a finished
+        simulator would wait for the cyclic collector.
+        """
+        self.warps.clear()
+        for chan in self.queues.channels():
+            chan.wake_hook = None
+        self.barriers.release()
 
 
 @dataclass(eq=False)
@@ -385,6 +409,7 @@ class SMSimulator:
             self.stats.tbs_completed += 1
             for pb_warps in self._pbs:
                 pb_warps[:] = [w for w in pb_warps if w.tb is not tb]
+            tb.release()
         self._admit(now)
 
     # -- main loop ------------------------------------------------------
@@ -553,6 +578,8 @@ class SMSimulator:
                     detail[(tb.tb_index, warp.key)] = (
                         repr(op[-1].opcode) if op else "end"
                     )
+        for tb in self._resident:
+            tb.release()
         raise DeadlockError(
             f"SM deadlock at cycle {now}: blocked warps {detail}"
         )
@@ -639,7 +666,9 @@ class SMSimulator:
         their real blocking cause recorded, so only the untouched tail
         still owes an ``ISSUE_PORT`` stall.
         """
-        losers.sort(key=lambda entry: (entry[0], entry[1]))
+        # Entries are (key, warp key, warp); warp keys are distinct, so
+        # tuple order never compares the warps themselves.
+        losers.sort()
         issued = False
         index = 0
         for _slot in idle:
@@ -766,8 +795,9 @@ class SMSimulator:
         # stall, [now, now+1) is this issue.
         if warp.prof_mark < now:
             self._close_stall(warp, now)
+        next_cycle = now + 1.0
         warp.prof_cause = None
-        warp.prof_mark = now + 1.0
+        warp.prof_mark = next_cycle
         bucket = int(now) // TIMELINE_BUCKET
         timeline = self._tl_issued
         if bucket >= len(timeline):
@@ -788,11 +818,11 @@ class SMSimulator:
                     "QUEUE_OP", now,
                 )
             warp.last_issued = now
-            warp.wake_at = now + 1.0
+            warp.wake_at = next_cycle
             return
-        kind, latency, category, tensor_fp, _src, pop, push, instr = (
-            warp.ops[warp.pc]
-        )
+        ops = warp.ops
+        pc = warp.pc
+        kind, latency, category, tensor_fp, _src, pop, push, instr = ops[pc]
         self._issued_cat[category] += 1
         if tensor_fp:
             self._tl_tensor_fp[bucket] += 1
@@ -848,9 +878,10 @@ class SMSimulator:
                 warp.pending_extra += SMEM_POP_EXTRA
             completion = max(completion, data_ready + self._int_latency)
 
-        if instr.dst_regs:
+        dst_regs = instr.dst_regs
+        if dst_regs:
             scoreboard = warp.scoreboard
-            for reg in instr.dst_regs:
+            for reg in dst_regs:
                 scoreboard[reg] = completion
 
         if prof is not None:
@@ -859,9 +890,10 @@ class SMSimulator:
                 instr.opcode.value, now,
             )
         warp.last_issued = now
-        warp.pc += 1
-        warp.wake_at = now + 1.0
-        if warp.pc >= len(warp.ops):
+        pc += 1
+        warp.pc = pc
+        warp.wake_at = next_cycle
+        if pc >= len(ops):
             warp.done = True
 
     def _submit_tma(

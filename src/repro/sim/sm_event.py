@@ -30,8 +30,9 @@ that can act.  Warps live in exactly one of four places:
 
 Exactness — the differential contract enforced by
 :mod:`repro.sim.differential` and CI's ``core-differential`` job —
-requires reproducing two subtle reference behaviours, and the third
-note shows one poll the event core skips is a no-op:
+requires reproducing two subtle reference behaviours; the third note
+shows one poll the event core skips is a no-op, and the fourth that
+the polls it shortens do what ``_can_issue`` would:
 
 1. *Intra-cycle visibility.*  The reference polls warps in processing-
    block order, then list order within the block; an event produced
@@ -67,6 +68,20 @@ note shows one poll the event core skips is a no-op:
    still holds it.  A winner with pending queue overhead, or done,
    stays where it is.
 
+4. *Inline plain-op check.*  A plain op (ALU kind, no queue pop or
+   push) can only be blocked by its scoreboard: the queue, MSHR and
+   barrier checks of ``_can_issue`` do not apply to it.  That check
+   reads the warp's own scoreboard and writes nothing, so the scan
+   runs it inline: no state changes, no queue, barrier or wake hook is
+   touched, and so no event fires (which is why ``_scan_pos``, read
+   only by events, is not set for it).  A blocked plain op records
+   ``SCOREBOARD`` through ``_note_stall``'s body, which is a no-op when
+   the cause is unchanged, and parks as ``_park`` parks a finite wake.
+   Arbitration keys are computed after the scan, and only when two or
+   more warps are eligible: a key reads queue occupancy, the block's
+   greedy warp and the warp's issue history, and only an issue or a
+   TMA step changes those; neither runs while a block is scanned.
+
 Warps never polled by this core are exactly the reference's no-op
 polls: a registered warp's blocking condition can only change through
 the hooked events, and re-polling it has no side effects (the
@@ -85,6 +100,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from heapq import heappush
 from operator import attrgetter
 
 from repro.errors import SimulationError
@@ -131,6 +147,9 @@ class EventSMSimulator(SMSimulator):
         self._scan_pb = -1
         self._scan_pos = _AFTER_ALL
         self._now = 0.0
+        # Scratch for _scan_issue: the eligible warps' slots in the
+        # block's new awake list.
+        self._slots: list[int] = []
         # Raw telemetry tallies: warp wake/sleep traffic and the
         # skipped-cycle span distribution (fixed buckets so the jump
         # branch does one bisect into a 13-bound tuple, no allocation).
@@ -263,19 +282,18 @@ class EventSMSimulator(SMSimulator):
         # Fall back to re-poll-after-progress so the warp is not lost.
         self._pending_wakes.append(warp)
 
-    def _park(
-        self, warp: _WarpRun, warp_wake: float, now: float,
-        keep: list[_WarpRun],
-    ) -> None:
-        """Route a blocked warp to where its wake will come from."""
+    def _park(self, warp: _WarpRun, warp_wake: float, now: float) -> bool:
+        """Route a blocked warp to where its wake will come from; True
+        when it stays awake (due again at the next processed cycle)."""
         if warp.done:
             self._dead_tbs.add(warp.tb)
         elif warp_wake == INFINITY:
             self._register_block(warp)
         elif warp_wake <= now + 1.0:
-            keep.append(warp)  # due again at the next processed cycle
+            return True
         else:
             self._heap.push(warp_wake, warp)
+        return False
 
     # -- steal-pass hooks ----------------------------------------------
 
@@ -309,11 +327,16 @@ class EventSMSimulator(SMSimulator):
         guard = 0
         prof = self.profiler
         heap = self._heap
+        sleepers = heap._items
         awake = self._awake
         blocks = self.config.processing_blocks
         idle = self._idle_pbs
         losers = self._losers
         tma = self.tma
+        tma_jobs = tma._jobs
+        buffer = self._buffer
+        enter_awake = self._enter_awake
+        scan_issue = self._scan_issue
         while self._resident or self._pending:
             guard += 1
             if guard > 200_000_000:
@@ -321,54 +344,62 @@ class EventSMSimulator(SMSimulator):
             self._now = now
             if prof is not None:
                 prof.now = now
-            # Pre-scan events (TMA pushes/arrivals) are visible to
-            # every warp polled this cycle.
-            self._scan_pb = -1
-            self._scan_pos = _AFTER_ALL
-            tma.advance(now)
-            for warp in heap.pop_due(now):
-                self._enter_awake(warp)
+            if tma_jobs:
+                # Pre-scan events (TMA pushes/arrivals) are visible to
+                # every warp polled this cycle; nothing else fires an
+                # event before the first scan.
+                self._scan_pb = -1
+                tma.advance(now)
+            if sleepers and sleepers[0][0] <= now:
+                # A sleeper is neither done nor woken early, so this is
+                # _enter_awake without its checks.
+                for warp in heap.pop_due(now):
+                    insort(awake[warp.pb], warp, key=_POS)
             if prof is not None:
                 prof.record_heap_depth(now, len(heap))
-            if self._buffer:
-                self._tel_buffered += len(self._buffer)
-                for warp in self._buffer:
-                    self._enter_awake(warp)
-                self._buffer.clear()
+            if buffer:
+                self._tel_buffered += len(buffer)
+                for warp in buffer:
+                    enter_awake(warp)
+                buffer.clear()
             issued_any = False
             wake = INFINITY
             idle.clear()
-            losers.clear()
             for pb_index in range(blocks):
                 if awake[pb_index]:
                     self._scan_pb = pb_index
-                    result = self._scan_issue(pb_index, now, losers)
+                    result = scan_issue(pb_index, now, losers)
                     if result is True:
                         issued_any = True
                         continue
                     if result < wake:
                         wake = result
                 idle.append(pb_index)
-            # Steal-pass events are next-cycle for everyone.
+            # Steal-pass events are next-cycle for everyone (every scan
+            # leaves ``_scan_pos`` at _AFTER_ALL).
             self._scan_pb = blocks
-            self._scan_pos = _AFTER_ALL
             if losers:
                 unconsumed = 0
                 if idle:
                     stole, unconsumed = self._steal_issue(idle, losers, now)
                     issued_any |= stole
+                # The ISSUE_PORT stall of every untouched loser, with
+                # _note_stall's no-op case (cause unchanged) inline.
                 for _key, _tie, warp in losers[unconsumed:]:
-                    self._note_stall(warp, now, _ISSUE_PORT)
+                    if warp.prof_cause != _ISSUE_PORT:
+                        self._close_stall(warp, now)
+                        warp.prof_cause = _ISSUE_PORT
                 losers.clear()
-            self._retire_finished(now)
-            if not self._resident and not self._pending:
-                break
+            if self._dead_tbs:
+                self._retire_finished(now)
+                if not self._resident and not self._pending:
+                    break
             # Progress gate: identical to the reference's re-arm
             # condition, evaluated at the same point (post-retire).
-            if issued_any or tma.busy():
+            if issued_any or tma_jobs:
                 self._inf_pollable = True
                 if self._pending_wakes:
-                    self._buffer.extend(self._pending_wakes)
+                    buffer.extend(self._pending_wakes)
                     self._pending_wakes.clear()
             else:
                 self._inf_pollable = False
@@ -446,71 +477,93 @@ class EventSMSimulator(SMSimulator):
         subsequence of the reference scan whose polls are not no-ops —
         and re-parks every warp that blocked.  Returns True on issue,
         else the earliest finite wake seen (for the clock jump).
+
+        A plain op (ALU kind, no queue pop or push) is checked inline
+        with the scoreboard subset of ``_can_issue`` (exactness note
+        4), and priority keys are computed only when two or more warps
+        are eligible: a lone eligible warp wins without one, and
+        nothing a key reads changes while the block is scanned.
         """
-        best: _WarpRun | None = None
-        best_key = None
-        best_slot = 0  # the winner's index in ``keep``
         wake = INFINITY
-        greedy = self._greedy[pb_index]
-        # Baseline hardware is pipeline-agnostic: plain GTO order.
-        key_fn = self._key_fn if self._pipeline_aware else _GTO_KEY
-        queue_bits = self._queue_bits
-        eligible = self._eligible
-        eligible.clear()
-        # Live list: same-cycle wakes with a later position insort
-        # into it mid-scan and are reached by the index loop.
+        next_cycle = now + 1.0
+        # WakeupHeap.push, inline.
+        sleepers = self._heap._items
+        # Edited in place: a warp that leaves the scan (done, asleep or
+        # registered) is deleted at ``index``; same-cycle wakes with a
+        # later position insort after ``index`` and are reached by the
+        # loop.  Neither moves a warp already passed, so the recorded
+        # slots stay valid.
         awake = self._awake[pb_index]
-        keep: list[_WarpRun] = []
+        # The eligible warps' slots in ``awake``, in scan order.
+        eligible = self._slots
+        eligible.clear()
         index = 0
+        left = 0
         while index < len(awake):
             warp = awake[index]
-            index += 1
             if warp.done:
                 self._dead_tbs.add(warp.tb)
-                continue
-            if warp.wake_at > now:
+            elif warp.wake_at > now:
                 # Not due yet (defensive; next processed cycle is
                 # always <= any parked wake).  Same contribution as
                 # the reference's skip.
                 wake = min(wake, warp.wake_at)
-                self._park(warp, warp.wake_at, now, keep)
+                if self._park(warp, warp.wake_at, now):
+                    index += 1
+                    continue
+            else:
+                if not warp.pending_extra:
+                    op = warp.ops[warp.pc]
+                    if op[0] or op[5] is not None or op[6] is not None:
+                        self._scan_pos = warp.pos
+                        can, warp_wake, cause = self._can_issue(warp, now)
+                        if not can:
+                            if cause is not None:
+                                self._note_stall(warp, now, cause)
+                            warp.wake_at = warp_wake
+                            wake = min(wake, warp_wake)
+                            if self._park(warp, warp_wake, now):
+                                index += 1
+                                continue
+                            del awake[index]
+                            left += 1
+                            continue
+                    elif op[4]:
+                        ready = now
+                        scoreboard = warp.scoreboard
+                        for reg in op[4]:
+                            t = scoreboard.get(reg)
+                            if t is not None and t > ready:
+                                ready = t
+                        if ready > now:
+                            if warp.prof_cause != _SCOREBOARD:
+                                self._close_stall(warp, now)
+                                warp.prof_cause = _SCOREBOARD
+                            warp.wake_at = ready
+                            if ready < wake:
+                                wake = ready
+                            if ready <= next_cycle:
+                                index += 1
+                                continue
+                            heappush(sleepers, (ready, warp.key, warp))
+                            del awake[index]
+                            left += 1
+                            continue
+                eligible.append(index)
+                index += 1
                 continue
-            self._scan_pos = warp.pos
-            can, warp_wake, cause = self._can_issue(warp, now)
-            if not can:
-                if cause is not None:
-                    self._note_stall(warp, now, cause)
-                warp.wake_at = warp_wake
-                wake = min(wake, warp_wake)
-                self._park(warp, warp_wake, now, keep)
-                continue
-            keep.append(warp)
-            ready = full = False
-            if queue_bits:
-                # Inlined queue-scoreboard scan; see SMSimulator._issue_pb.
-                for chan in warp.in_channels:
-                    entries = chan._entries
-                    if entries and entries[0] <= now:
-                        ready = True
-                    if len(entries) + chan.reserved >= chan.capacity:
-                        full = True
-            key = key_fn(warp.key, warp.pipe_stage_id, ready, full,
-                         warp.last_issued, warp.age, greedy)
-            eligible.append((key, warp))
-            if best is None or key < best_key:
-                best, best_key = warp, key
-                best_slot = len(keep) - 1
-        self._awake[pb_index] = keep
-        self._tel_polls += index
+            del awake[index]
+            left += 1
+        self._tel_polls += index + left
         # Winner execution: events become visible to later blocks this
         # cycle, to this block (and earlier ones) next cycle.
         self._scan_pos = _AFTER_ALL
-        if best is None:
+        if not eligible:
             return wake
-        for key, warp in eligible:
-            if warp is not best:
-                losers.append((key, warp.key, warp))
-        eligible.clear()
+        best_slot = eligible[0]
+        if len(eligible) > 1:
+            best_slot = self._arbitrate(pb_index, now, awake, losers)
+        best = awake[best_slot]
         self._execute(best, now)
         self._greedy[pb_index] = best.key
         if best.done:
@@ -524,16 +577,51 @@ class EventSMSimulator(SMSimulator):
             # arrives), so it cannot run a cycle early.
             src_regs = best.ops[best.pc][4]
             if src_regs:
-                ready = now + 1.0
+                ready = next_cycle
                 scoreboard = best.scoreboard
                 for reg in src_regs:
                     t = scoreboard.get(reg)
                     if t is not None and t > ready:
                         ready = t
-                if ready > now + 1.0:
-                    del keep[best_slot]
+                if ready > next_cycle:
+                    del awake[best_slot]
                     best.wake_at = ready
                     best.prof_cause = _SCOREBOARD
-                    self._heap.push(ready, best)
+                    heappush(self._heap._items, (ready, best.key, best))
                     self._tel_sleep_eager += 1
         return True
+
+    def _arbitrate(
+        self, pb_index: int, now: float, awake: list[_WarpRun],
+        losers: list,
+    ) -> int:
+        """The winner's slot in ``awake`` among two or more eligible
+        warps (``self._slots``); the others join ``losers``."""
+        greedy = self._greedy[pb_index]
+        # Baseline hardware is pipeline-agnostic: plain GTO order.
+        key_fn = self._key_fn if self._pipeline_aware else _GTO_KEY
+        queue_bits = self._queue_bits
+        keyed = []
+        best_slot = -1
+        best_key = None
+        for slot in self._slots:
+            warp = awake[slot]
+            ready = full = False
+            if queue_bits:
+                # Inlined queue-scoreboard scan; see SMSimulator._issue_pb.
+                for chan in warp.in_channels:
+                    entries = chan._entries
+                    if entries and entries[0] <= now:
+                        ready = True
+                    if len(entries) + chan.reserved >= chan.capacity:
+                        full = True
+            key = key_fn(warp.key, warp.pipe_stage_id, ready, full,
+                         warp.last_issued, warp.age, greedy)
+            keyed.append((key, warp.key, warp))
+            if best_slot < 0 or key < best_key:
+                best_slot, best_key = slot, key
+        best = awake[best_slot]
+        for entry in keyed:
+            if entry[2] is not best:
+                losers.append(entry)
+        return best_slot

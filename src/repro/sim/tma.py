@@ -93,7 +93,8 @@ class TmaEngine:
                     flight.on_complete = None
             else:
                 still_active.append(flight)
-        self._jobs = still_active
+        # In place: the event core tests this list's truthiness.
+        self._jobs[:] = still_active
 
     def _advance_phase1(
         self, flight: _InFlight, now: float, rate: float

@@ -118,6 +118,28 @@ def test_prediction_fields_and_schema(spmv_prediction):
     assert doc["bottleneck_stage"] == pred.bottleneck_stage
 
 
+def test_finished_walk_is_freed_by_reference_counting(
+    spmv_kernel, spmv_specialized
+):
+    """The walk installs itself as every barrier file's wake hook and
+    releases the hooks when it finishes, so a finished walk goes as
+    soon as its caller drops it, with the cyclic collector off."""
+    import gc
+    import weakref
+
+    gpu = _gpu_for(spmv_kernel, wasp_gpu_config())
+    gc.collect()
+    gc.disable()
+    try:
+        walk = DataflowWalk(gpu, spmv_specialized.traces)
+        walk.run()
+        alive = weakref.ref(walk)
+        del walk
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_kernel_prediction_speedup(spmv_prediction):
     kp = spmv_prediction
     assert kp.baseline.cycles > 0

@@ -208,12 +208,9 @@ def test_eager_scoreboard_sleep_is_exact():
 # -- full-queue starvation ------------------------------------------------
 
 
-def test_all_producers_starve_on_full_queue():
-    """Every producer blocks on a full queue while the consumer sleeps
-    on a long-latency dependence: the only wake signal is the heap.
-    The event core must jump to the consumer's wake, replay its pops,
-    and wake the producers via the full_waiters registry — landing on
-    exactly the reference's cycle count."""
+def _starved_queue():
+    """Three producers pushing six entries each through a 2-entry
+    queue whose consumers first wait on a long-latency load."""
     from repro.core.specs import NamedQueueSpec, ThreadBlockSpec
 
     capacity = 2
@@ -243,6 +240,16 @@ def test_all_producers_starve_on_full_queue():
         kernel_name="starve", num_warps=6, warp_width=8,
         warps=producers + consumers, tb_spec=spec,
     )
+    return trace, gpu
+
+
+def test_all_producers_starve_on_full_queue():
+    """Every producer blocks on a full queue while the consumer sleeps
+    on a long-latency dependence: the only wake signal is the heap.
+    The event core must jump to the consumer's wake, replay its pops,
+    and wake the producers via the full_waiters registry — landing on
+    exactly the reference's cycle count."""
+    trace, gpu = _starved_queue()
     ref, event = _both_cores([trace], gpu)
     _assert_same(ref, event)
     # The scenario actually exercised queue-full blocking.
@@ -251,6 +258,44 @@ def test_all_producers_starve_on_full_queue():
         cause is StallCause.QUEUE_FULL and cycles > 0
         for (_stage, cause), cycles in ref.stall_cycles.items()
     )
+
+
+@pytest.mark.parametrize("core", ["reference", "event"])
+def test_finished_simulator_is_freed_by_reference_counting(
+    core, monkeypatch
+):
+    """A retired block drops its warps (each warp points back at it)
+    and its queues' and barriers' wake hooks (bound methods of the
+    event core), so a finished simulator and its blocks go as soon as
+    the caller drops it, with the cyclic collector off."""
+    import gc
+    import weakref
+
+    from repro.sim.sm import SMSimulator
+
+    blocks = []
+    place = SMSimulator._place
+
+    def recording_place(self, trace, now):
+        place(self, trace, now)
+        blocks.append(weakref.ref(self._resident[-1]))
+
+    monkeypatch.setattr(SMSimulator, "_place", recording_place)
+    trace, gpu = _starved_queue()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = make_simulator(gpu, [trace, trace], core=core)
+        sim.run()
+        if core == "event":
+            assert sim._tel_reg_queue_full > 0  # hooks were installed
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+        assert len(blocks) == 2
+        assert all(block() is None for block in blocks)
+    finally:
+        gc.enable()
 
 
 def test_deadlock_parity_same_cycle():
