@@ -9,7 +9,10 @@ completed, the full ``(stage, cause) -> cycles`` stall mix, the stall
 *span* count (a core that merged or split attribution intervals could
 still match the totals), active warp-cycles, the per-bucket activity
 timeline, the memory system's service counters (L1/L2/DRAM hits,
-sectors, SMEM words) and the TMA engine's vector/job counts.
+sectors, SMEM words), the TMA engine's vector/job counts, and the
+cycle sequence itself: processed cycles, clock jumps and the cycles
+those jumps skipped (the event core claims to process the *same*
+cycles as the reference, not just to end on the same count).
 
 Consumers:
 
@@ -237,6 +240,9 @@ def diff_traces(
         event_sim.tma.vectors_issued)
     cmp("tma.jobs_started", ref_sim.tma.jobs_started,
         event_sim.tma.jobs_started)
+    cmp("processed_cycles", ref_sim._tel_cycles, event_sim._tel_cycles)
+    cmp("clock_jumps", ref_sim._tel_jumps, event_sim._tel_jumps)
+    cmp("skipped_cycles", ref_sim._tel_skipped, event_sim._tel_skipped)
     return diff
 
 

@@ -106,3 +106,34 @@ def test_mismatch_is_reported_not_swallowed(monkeypatch, stream_setup):
     diff = diff_traces(traces, wasp_gpu(), "doctored")
     assert not diff.ok
     assert any("cycles" in line for line in diff.mismatches)
+
+
+def test_cycle_sequence_is_compared(monkeypatch, stream_setup):
+    """The event core claims the reference's cycle sequence, not just
+    its final count: a core that processed one more cycle and jumped
+    once less, ending on the same cycle, must be flagged."""
+    import repro.sim.gpu as gpu_mod
+    from repro.sim.gpu import make_simulator
+    from repro.sim.sm_event import EventSMSimulator
+
+    program, image_factory, launch, _ = stream_setup
+    traces = _traces(program, image_factory, launch)
+    gpu = wasp_gpu().scale_bandwidth(0.25)
+    ref = make_simulator(gpu, traces, core="reference")
+    ref.run()
+    assert ref._tel_jumps > 0 and ref._tel_skipped > 0  # non-vacuous
+    assert diff_traces(traces, gpu, "clean").ok
+
+    class _OneMoreCycle(EventSMSimulator):
+        def run(self):
+            stats = super().run()
+            self._tel_cycles += 1
+            self._tel_jumps -= 1
+            self._tel_skipped -= 1.0
+            return stats
+
+    monkeypatch.setitem(gpu_mod._CORES, "event", _OneMoreCycle)
+    diff = diff_traces(traces, gpu, "doctored")
+    assert {line.split(": ")[1] for line in diff.mismatches} == {
+        "processed_cycles", "clock_jumps", "skipped_cycles",
+    }
