@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import repro.core.compiler
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions, stagesplit
+from repro.core.compiler.memo import clear_source_slot
 from repro.core.compiler.pdg import PDG, build_pdg
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.oracle import OPTION_SETS
@@ -242,6 +243,10 @@ def _compile_watching_dce(seed: int, options) -> list[dict]:
     around dead-code elimination (later passes rewrite stage programs in
     place, so they are taken on the spot), then the kernel's and the
     compiled pipeline's."""
+    # A compile the per-source slot answers runs no pass, so an earlier
+    # compile of the same seed (another example of these property
+    # tests) would leave nothing to watch.
+    clear_source_slot()
     kernel = build_kernel(generate_spec(seed))
     real_dce = stagesplit._eliminate_dead_code
     snaps = []
