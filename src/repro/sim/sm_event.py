@@ -148,7 +148,7 @@ class EventSMSimulator(SMSimulator):
         self._scan_pos = _AFTER_ALL
         self._now = 0.0
         # Scratch for _scan_issue: the eligible warps' slots in the
-        # block's new awake list.
+        # scanned block's awake list.
         self._slots: list[int] = []
         # Raw telemetry tallies: warp wake/sleep traffic and the
         # skipped-cycle span distribution (fixed buckets so the jump
