@@ -33,10 +33,11 @@ class WakeupHeap:
 
     Keeps raw telemetry tallies (pops, peak depth) that the event core
     harvests into the metrics registry at end of run (DESIGN.md §7).
-    A push is a bare ``heappush``: pops happen only here, so the push
-    count is the pop count plus the depth, and since the depth only
-    grows between pops, the peak is the largest depth seen when a pop
-    begins or when the count is read.
+    A push is a bare ``heappush`` (the event core's scan pushes onto
+    ``_items`` itself).  Pops happen only here, so the push count is
+    the pop count plus the depth, and since the depth only grows
+    between pops, the peak is the largest depth seen when a pop begins
+    or when the count is read.
     """
 
     __slots__ = ("_items", "pops", "_max_depth")
