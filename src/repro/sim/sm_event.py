@@ -587,7 +587,7 @@ class EventSMSimulator(SMSimulator):
                     del awake[best_slot]
                     best.wake_at = ready
                     best.prof_cause = _SCOREBOARD
-                    heappush(self._heap._items, (ready, best.key, best))
+                    heappush(sleepers, (ready, best.key, best))
                     self._tel_sleep_eager += 1
         return True
 
